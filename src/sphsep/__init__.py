@@ -10,20 +10,15 @@ hulls, and contract the hyperplane offset to zero.
 """
 
 from .convexity import (
-    EuclideanHullBody,
-    MembershipResult,
     SphericalBody,
     TangentPolytope,
     fatten,
     hemisphericity_witness,
     project_body,
     pullback,
-    scale_union_hull,
-    spherical_hull_member,
 )
 from .errors import (
     ContractionStalled,
-    DeltaOutOfRange,
     DimensionMismatch,
     EpsilonSearchFailed,
     GenerationFailed,
@@ -33,7 +28,6 @@ from .errors import (
     NumericallyAmbiguous,
     OutsideOpenHemisphere,
     SphSepError,
-    UnsupportedDimension,
     ZeroVector,
 )
 from .geometry import (
@@ -56,6 +50,7 @@ from .lp import EQ, GE, LE, LinearProgram, LpOutcome, LpStatus, solve
 from .separation import (
     Hyperplane,
     Intersection,
+    MembershipResult,
     ProofTrace,
     SeparationCertificate,
     dual_witness,
@@ -71,11 +66,9 @@ __all__ = [
     "CampaignReport",
     "ContractionStalled",
     "DEFAULT_CONFIG",
-    "DeltaOutOfRange",
     "DimensionMismatch",
     "EQ",
     "EpsilonSearchFailed",
-    "EuclideanHullBody",
     "GE",
     "GenerationFailed",
     "Hyperplane",
@@ -99,7 +92,6 @@ __all__ = [
     "TangentFrame",
     "TangentPolytope",
     "ToleranceConfig",
-    "UnsupportedDimension",
     "ZeroVector",
     "central_project",
     "central_unproject",
@@ -114,8 +106,6 @@ __all__ = [
     "proof_path_witness",
     "pullback",
     "run_equivalence_campaign",
-    "scale_union_hull",
-    "spherical_hull_member",
     "wedge_membership",
     "wedge_openness_probe",
 ]

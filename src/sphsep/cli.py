@@ -18,11 +18,11 @@ Exit codes (stable):
   0  disjoint / campaign clean / scene written
   1  campaign found disagreements
   2  intersecting
-  3  ambiguous within tolerances, or semantically invalid bodies
-     (not hemispherical)
+  3  ambiguous within tolerances, semantically invalid bodies
+     (not hemispherical), or the simplex pivot budget ran out
   4  malformed input file, or unsupported dimension for plot
-  5  constructive witness route failed (fattening search or offset
-     contraction)
+  5  constructive witness route failed (fattening search, offset
+     contraction, or the pivot budget inside it)
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .convexity import SphericalBody, hemisphericity_witness, project_body
 from .errors import (
     ContractionStalled,
     EpsilonSearchFailed,
+    IterationLimit,
     NotHemispherical,
     NumericallyAmbiguous,
 )
@@ -158,7 +159,7 @@ def _cmd_check(args) -> int:
         return _fail(str(exc), 4)
     try:
         inter = primal_intersect(b1, b2, cfg)
-    except NotHemispherical as exc:
+    except (NotHemispherical, IterationLimit) as exc:
         _emit({"status": "ambiguous", "reason": str(exc)})
         return 3
     if inter is None:
@@ -181,14 +182,7 @@ def _cmd_witness(args) -> int:
                 _emit({"status": "ambiguous", "reason": str(exc)})
                 return 3
             if cert.kind == "intersecting":
-                _emit(
-                    {
-                        "status": "intersecting",
-                        "common_point": _coords(cert.common_point),
-                        "lambda": _coords(cert.lam),
-                        "mu": _coords(cert.mu),
-                    }
-                )
+                _emit(_intersection_doc(cert))
                 return 2
             if not wedge_membership(b1, b2, cert.witness, cfg).member:
                 _emit({"status": "ambiguous", "reason": "witness failed re-validation"})
@@ -202,13 +196,15 @@ def _cmd_witness(args) -> int:
             )
             return 0
         # proof-path route: settle intersection first, then construct
-        inter = primal_intersect(b1, b2, cfg)
+        w1 = hemisphericity_witness(b1, cfg)
+        w2 = hemisphericity_witness(b2, cfg)
+        inter = primal_intersect(b1, b2, cfg, w1=w1, w2=w2)
         if inter is not None:
             _emit(_intersection_doc(inter))
             return 2
         try:
-            cert, trace = proof_path_witness(b1, b2, cfg)
-        except (EpsilonSearchFailed, ContractionStalled) as exc:
+            cert, trace = proof_path_witness(b1, b2, cfg, w1=w1, w2=w2)
+        except (EpsilonSearchFailed, ContractionStalled, IterationLimit) as exc:
             return _fail(f"constructive witness route failed: {exc}", 5)
         if not wedge_membership(b1, b2, cert.witness, cfg).member:
             return _fail("constructed witness failed re-validation", 5)
@@ -225,7 +221,7 @@ def _cmd_witness(args) -> int:
             }
         )
         return 0
-    except NotHemispherical as exc:
+    except (NotHemispherical, IterationLimit) as exc:
         _emit({"status": "ambiguous", "reason": str(exc)})
         return 3
 
@@ -358,7 +354,7 @@ def _cmd_plot(args) -> int:
                 boundary.append(_coords(np.cos(theta) * u + np.sin(theta) * v))
             scene["witness"] = _coords(w)
             scene["boundary"] = boundary
-    except NotHemispherical as exc:
+    except (NotHemispherical, IterationLimit) as exc:
         return _fail(str(exc), 3)
     payload = json.dumps(scene, indent=2) + "\n"
     try:

@@ -2,30 +2,21 @@
 
 A body is the closed spherical hull of finitely many unit generators: the set
 of normalized nonnegative combinations.  Everything here stays polytopal so
-that hull membership, hemisphericality, and interiority can all be certified
-by small linear programs:
+that hemisphericality and separation can be certified by small linear
+programs:
 
   * hemisphericity_witness  -- pole with positive dot against every generator
   * project_body / pullback -- move generators through the central projection
   * fatten                  -- Minkowski sum with an epsilon cross-polytope
-  * spherical_hull_member   -- cone membership with an LP certificate
-  * scale_union_hull        -- adjoin a contracted copy of a Euclidean
-                               vertex set (used by the offset-shrinking loop)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DeltaOutOfRange,
-    DimensionMismatch,
-    NegativeEpsilon,
-    NotHemispherical,
-)
+from .errors import DimensionMismatch, NegativeEpsilon, NotHemispherical
 from .geometry import (
     DEFAULT_CONFIG,
     _SHAPE_TOL,
@@ -35,19 +26,15 @@ from .geometry import (
     central_unproject,
     normalize,
 )
-from .lp import EQ, GE, LE, LinearProgram, LpStatus, solve
+from .lp import GE, LinearProgram, LpStatus, solve
 
 __all__ = [
-    "EuclideanHullBody",
-    "MembershipResult",
     "SphericalBody",
     "TangentPolytope",
     "fatten",
     "hemisphericity_witness",
     "project_body",
     "pullback",
-    "scale_union_hull",
-    "spherical_hull_member",
 ]
 
 
@@ -101,10 +88,6 @@ class SphericalBody:
         """Sphere dimension (ambient dimension minus one)."""
         return self.generators.shape[1] - 1
 
-    @property
-    def num_generators(self) -> int:
-        return self.generators.shape[0]
-
 
 @dataclass(frozen=True)
 class TangentPolytope:
@@ -125,29 +108,26 @@ class TangentPolytope:
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
 
-    @property
-    def num_vertices(self) -> int:
-        return self.vertices.shape[0]
 
+def _pole_lp(rows: np.ndarray) -> LinearProgram:
+    """maximize t subject to x . row >= t for every row, |x_k| <= 1, t free.
 
-@dataclass(frozen=True)
-class EuclideanHullBody:
-    """Convex hull of finitely many points in the ambient space R^{n+1}."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[0] == 0:
-            raise DimensionMismatch("vertices must be a nonempty 2-D array")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
-
-
-class MembershipResult(NamedTuple):
-    member: bool
-    margin: float
+    The one LP behind every pole in the package: generator rows give the
+    hemisphericity LP, rows (Q, -R) the dual pole LP, and homogenized
+    vertex rows (y, -1) and -(y, -1) the Euclidean hull separation.  At a
+    positive optimum some |x_k| is 1, so normalizing x to the unit sphere
+    can only shrink the margin t.
+    """
+    m, k = rows.shape
+    obj = np.zeros(k + 1)
+    obj[-1] = 1.0
+    tableau = np.hstack([rows, -np.ones((m, 1))])
+    return LinearProgram(
+        objective=obj,
+        constraints=[(row, GE, 0.0) for row in tableau],
+        lower=np.concatenate([-np.ones(k), [-np.inf]]),
+        upper=np.concatenate([np.ones(k), [np.inf]]),
+    )
 
 
 def hemisphericity_witness(
@@ -155,33 +135,24 @@ def hemisphericity_witness(
 ) -> np.ndarray:
     """Unit pole P with P . Q > 0 for every generator Q, or NotHemispherical.
 
-    Solves: maximize t subject to P . Q_j >= t for all j, with box bounds
-    |P_k| <= 1 and t free.  The body sits inside an open hemisphere exactly
-    when the optimum exceeds margin_tol; the maximizing P is normalized to
-    the sphere before return (signs of all dots are preserved).
+    Solves the pole LP on the generator rows: maximize t subject to
+    P . Q_j >= t for all j, with box bounds |P_k| <= 1 and t free.  The
+    maximizing P is normalized to the sphere, and the body counts as sitting
+    inside an open hemisphere only when min_j P . Q_j still exceeds
+    margin_tol at unit scale.
     """
     g = body.generators
-    m, d = g.shape
-    # variables: P_1..P_d, t
-    obj = np.zeros(d + 1)
-    obj[-1] = 1.0
-    cons = []
-    for j in range(m):
-        row = np.concatenate([g[j], [-1.0]])
-        cons.append((row, GE, 0.0))
-    lower = np.concatenate([-np.ones(d), [-np.inf]])
-    upper = np.concatenate([np.ones(d), [np.inf]])
-    out = solve(
-        LinearProgram(objective=obj, constraints=cons, lower=lower, upper=upper),
-        tol=cfg.lp_tol,
-        max_pivots=100 * cfg.max_iter,
-    )
-    if out.status is not LpStatus.OPTIMAL or out.objective_value <= cfg.margin_tol:
+    out = solve(_pole_lp(g), tol=cfg.lp_tol, max_pivots=100 * cfg.max_iter)
+    margin = out.objective_value if out.status is LpStatus.OPTIMAL else 0.0
+    if margin > cfg.margin_tol:
+        pole = normalize(out.solution[:-1], cfg)
+        margin = float(np.min(g @ pole))
+    if margin <= cfg.margin_tol:
         raise NotHemispherical(
-            f"no open hemisphere contains all {m} generators "
-            f"(best margin {0.0 if out.objective_value is None else out.objective_value:.3e})"
+            f"no open hemisphere contains all {g.shape[0]} generators "
+            f"(best margin {margin:.3e})"
         )
-    return normalize(out.solution[:d], cfg)
+    return pole
 
 
 def project_body(
@@ -231,64 +202,3 @@ def pullback(
     """
     gens = np.array([central_unproject(poly.frame, x) for x in poly.vertices])
     return SphericalBody.from_points(gens, cfg)
-
-
-def spherical_hull_member(
-    body: SphericalBody,
-    q,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-    witness: np.ndarray | None = None,
-) -> MembershipResult:
-    """Is unit point q in the closed spherical hull of the body?
-
-    Membership means q is a normalized nonnegative combination of the
-    generators, i.e. the cone feasibility system
-
-        lambda >= 0,  sum_j lambda_j Q_j = s q,  s >= margin_tol,
-        P0 . (sum_j lambda_j Q_j) = 1
-
-    is solvable, where P0 is a hemisphericity witness (the last row pins the
-    scale and rules out lambda = 0).  On membership the reported margin is
-    the max-norm residual of the reconstructed combination -- a certificate
-    quality, near zero; non-members carry margin +inf (no certificate).
-    """
-    qv = np.asarray(q, dtype=float)
-    g = body.generators
-    m, d = g.shape
-    if qv.shape != (d,):
-        raise DimensionMismatch(f"query point has shape {qv.shape}, expected ({d},)")
-    p0 = hemisphericity_witness(body, cfg) if witness is None else witness
-
-    # variables: lambda_1..lambda_m, s
-    obj = np.zeros(m + 1)
-    cons = []
-    for i in range(d):
-        row = np.concatenate([g[:, i], [-qv[i]]])
-        cons.append((row, EQ, 0.0))
-    cons.append((np.concatenate([g @ p0, [0.0]]), EQ, 1.0))
-    lower = np.concatenate([np.zeros(m), [cfg.margin_tol]])
-    out = solve(
-        LinearProgram(objective=obj, constraints=cons, lower=lower),
-        tol=cfg.lp_tol,
-        max_pivots=100 * cfg.max_iter,
-    )
-    if out.status is not LpStatus.OPTIMAL:
-        return MembershipResult(member=False, margin=np.inf)
-    lam, s = out.solution[:m], out.solution[m]
-    combo = g.T @ lam
-    residual = max(
-        float(np.max(np.abs(combo - s * qv))), abs(float(p0 @ combo) - 1.0)
-    )
-    return MembershipResult(member=True, margin=residual)
-
-
-def scale_union_hull(body: EuclideanHullBody, delta: float) -> EuclideanHullBody:
-    """Adjoin the delta-contracted copy of the vertex set, 0 < delta < 1.
-
-    The hull of the output contains the hull of the input (vertex-set
-    monotonicity); the contracted copy pulls the hull toward the origin.
-    """
-    if not (0.0 < delta < 1.0):
-        raise DeltaOutOfRange(f"contraction factor must be in (0, 1), got {delta}")
-    v = body.vertices
-    return EuclideanHullBody(vertices=np.vstack([v, delta * v]))

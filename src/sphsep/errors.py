@@ -21,10 +21,6 @@ class NegativeEpsilon(SphSepError):
     """Fattening radius must be nonnegative."""
 
 
-class DeltaOutOfRange(SphSepError):
-    """Contraction factor must lie strictly between 0 and 1."""
-
-
 class DimensionMismatch(SphSepError):
     """Malformed input: inconsistent vector lengths or bounds."""
 
@@ -47,7 +43,3 @@ class ContractionStalled(SphSepError):
 
 class GenerationFailed(SphSepError):
     """Random instance generation exhausted its retry budget."""
-
-
-class UnsupportedDimension(SphSepError):
-    """Operation is only available for a specific sphere dimension."""

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .convexity import SphericalBody
-from .errors import GenerationFailed, NumericallyAmbiguous, SphSepError
+from .errors import GenerationFailed, IterationLimit, NumericallyAmbiguous, SphSepError
 from .geometry import DEFAULT_CONFIG, ToleranceConfig, normalize
 from .separation import (
     dual_witness,
@@ -279,7 +279,9 @@ def run_equivalence_campaign(
     Dimensions round-robin; modes cycle unconstrained, force-disjoint,
     unconstrained, force-intersecting; generator counts are drawn from
     sizes.  Ambiguous instances (separation margin inside the tolerance
-    band) are counted and skipped rather than classified.  Single-threaded
+    band) are counted and skipped rather than classified, and so are
+    instances whose LPs overrun the pivot budget, each with a failure entry.
+    Single-threaded
     and sequential, so the report is trivially deterministic.
     """
     report = CampaignReport(count=count, dims=list(dims), sizes=list(sizes), seed=seed)
@@ -297,16 +299,18 @@ def run_equivalence_campaign(
         report.instances += 1
         try:
             b1, b2, c1, c2 = _generate_with_centers(spec, cfg)
+            inter = primal_intersect(b1, b2, cfg, w1=c1, w2=c2)
+            dual_cert = dual_witness(b1, b2, cfg, w1=c1, w2=c2)
         except GenerationFailed as exc:
             report.disagreements += 1
             report.failures.append(f"{tag}: generation failed: {exc}")
             continue
-
-        inter = primal_intersect(b1, b2, cfg, w1=c1, w2=c2)
-        try:
-            dual_cert = dual_witness(b1, b2, cfg, w1=c1, w2=c2)
         except NumericallyAmbiguous:
             report.ambiguous += 1
+            continue
+        except IterationLimit as exc:
+            report.ambiguous += 1
+            report.failures.append(f"{tag}: pivot budget exceeded: {exc}")
             continue
 
         primal_disjoint = inter is None

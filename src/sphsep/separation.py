@@ -21,13 +21,13 @@ witness constructions independent cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .convexity import (
-    EuclideanHullBody,
-    MembershipResult,
     SphericalBody,
+    _pole_lp,
     fatten,
     hemisphericity_witness,
     project_body,
@@ -45,11 +45,12 @@ from .geometry import (
     normalize,
     orthonormal_frame,
 )
-from .lp import EQ, GE, LE, LinearProgram, LpStatus, solve
+from .lp import EQ, LE, LinearProgram, LpStatus, solve
 
 __all__ = [
     "Hyperplane",
     "Intersection",
+    "MembershipResult",
     "ProofTrace",
     "SeparationCertificate",
     "dual_witness",
@@ -75,6 +76,11 @@ class Hyperplane:
         nrm.flags.writeable = False
         object.__setattr__(self, "normal", nrm)
         object.__setattr__(self, "offset", float(self.offset))
+
+
+class MembershipResult(NamedTuple):
+    member: bool
+    margin: float
 
 
 @dataclass(frozen=True)
@@ -183,15 +189,6 @@ def primal_intersect(
     )
 
 
-def _intersection_certificate(inter: Intersection) -> SeparationCertificate:
-    return SeparationCertificate(
-        kind="intersecting",
-        common_point=inter.common_point,
-        lam=inter.lam,
-        mu=inter.mu,
-    )
-
-
 def wedge_membership(
     b1: SphericalBody,
     b2: SphericalBody,
@@ -222,13 +219,14 @@ def dual_witness(
 ) -> SeparationCertificate:
     """Margin-maximizing pole, or an intersection certificate.
 
-    Solves: maximize t subject to P . Q_j >= t, P . R_k <= -t, |P_m| <= 1,
-    t free.  Optimum t > margin_tol certifies disjointness; the pole is
-    renormalized to the sphere (sign conditions survive).  Otherwise the
-    primal oracle is consulted: a feasible intersection yields the
+    Solves the pole LP on the rows (Q, -R): maximize t subject to
+    P . Q_j >= t, P . R_k <= -t, |P_m| <= 1, t free.  The pole is
+    renormalized to the sphere (sign conditions survive), and disjointness
+    is certified when its unit-scale margin exceeds margin_tol.  Otherwise
+    the primal oracle is consulted: a feasible intersection yields the
     intersecting certificate, while primal disjointness together with a
-    marginal optimum (|t| <= margin_tol) is reported as NumericallyAmbiguous
-    -- the strict inequalities are undecidable at this tolerance.
+    marginal optimum is reported as NumericallyAmbiguous -- the strict
+    inequalities are undecidable at this tolerance.
     """
     _require_same_dimension(b1, b2)
     if w1 is None:
@@ -236,31 +234,25 @@ def dual_witness(
     if w2 is None:
         w2 = hemisphericity_witness(b2, cfg)
     g1, g2 = b1.generators, b2.generators
-    d = g1.shape[1]
-
-    # variables: P_1..P_d, t
-    obj = np.zeros(d + 1)
-    obj[-1] = 1.0
-    cons = []
-    for q in g1:
-        cons.append((np.concatenate([q, [-1.0]]), GE, 0.0))
-    for r in g2:
-        cons.append((np.concatenate([-r, [-1.0]]), GE, 0.0))
-    lower = np.concatenate([-np.ones(d), [-np.inf]])
-    upper = np.concatenate([np.ones(d), [np.inf]])
     out = solve(
-        LinearProgram(objective=obj, constraints=cons, lower=lower, upper=upper),
+        _pole_lp(np.vstack([g1, -g2])),
         tol=cfg.lp_tol,
         max_pivots=100 * cfg.max_iter,
     )
     t = out.objective_value if out.status is LpStatus.OPTIMAL else 0.0
     if t > cfg.margin_tol:
-        witness = normalize(out.solution[:d], cfg)
-        margin = float(min(np.min(g1 @ witness), -np.max(g2 @ witness)))
-        return SeparationCertificate(kind="disjoint", witness=witness, margin=margin)
+        witness = normalize(out.solution[:-1], cfg)
+        t = float(min(np.min(g1 @ witness), -np.max(g2 @ witness)))
+        if t > cfg.margin_tol:
+            return SeparationCertificate(kind="disjoint", witness=witness, margin=t)
     inter = primal_intersect(b1, b2, cfg, w1=w1, w2=w2)
     if inter is not None:
-        return _intersection_certificate(inter)
+        return SeparationCertificate(
+            kind="intersecting",
+            common_point=inter.common_point,
+            lam=inter.lam,
+            mu=inter.mu,
+        )
     raise NumericallyAmbiguous(
         f"separation margin {t:.3e} within the tolerance band "
         f"{cfg.margin_tol:.1e} but cone feasibility says disjoint"
@@ -272,7 +264,8 @@ def _separating_hyperplane(
 ) -> tuple[Hyperplane, float]:
     """Max-slack hyperplane with hull(v1) on the positive side.
 
-    Solves: maximize t subject to P . y >= r + t on v1, P . y <= r - t on
+    Solves the pole LP on the homogenized rows (y, -1) of v1 and -(y, -1)
+    of v2: maximize t subject to P . y >= r + t on v1, P . y <= r - t on
     v2, |P_m| <= 1, |r| <= 1, t free.  Returns the hyperplane normalized to
     unit normal (offset and slack rescale with it), plus the geometric slack.
 
@@ -282,18 +275,10 @@ def _separating_hyperplane(
     to it.
     """
     d = v1.shape[1]
-    # variables: P_1..P_d, r, t
-    obj = np.zeros(d + 2)
-    obj[-1] = 1.0
-    cons = []
-    for y in v1:
-        cons.append((np.concatenate([y, [-1.0, -1.0]]), GE, 0.0))
-    for y in v2:
-        cons.append((np.concatenate([-y, [1.0, -1.0]]), GE, 0.0))
-    lower = np.concatenate([-np.ones(d + 1), [-np.inf]])
-    upper = np.concatenate([np.ones(d + 1), [np.inf]])
+    h1 = np.hstack([v1, -np.ones((v1.shape[0], 1))])
+    h2 = np.hstack([v2, -np.ones((v2.shape[0], 1))])
     out = solve(
-        LinearProgram(objective=obj, constraints=cons, lower=lower, upper=upper),
+        _pole_lp(np.vstack([h1, -h2])),
         tol=cfg.lp_tol,
         max_pivots=100 * cfg.max_iter,
     )

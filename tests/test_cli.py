@@ -7,7 +7,7 @@ import pytest
 
 from sphsep.cli import main
 from sphsep.convexity import SphericalBody
-from sphsep.harness import CampaignReport
+from sphsep.harness import CampaignReport, _cap_body, _random_tangent, _random_unit
 from sphsep.separation import wedge_membership
 
 from .oracles import separates
@@ -190,6 +190,45 @@ def test_witness_proof_path_failure_exit_code(tmp_path, capsys):
     # the lp method is untouched by the proof-path iteration cap
     code, _, _ = run_cli(capsys, "witness", path, "--method", "lp")
     assert code == 0
+
+
+def test_pivot_budget_overrun_exit_codes(tmp_path, capsys):
+    # 40+40 generators on S^5 around orthogonal centres with a one-round
+    # budget (100 pivots): the hemisphericity and cone LPs fit, the dual
+    # pole LP and the constructive route do not
+    rng = np.random.default_rng(12)
+    c1 = _random_unit(rng, 6)
+    c2 = _random_tangent(rng, c1)
+    doc = {
+        "n": 5,
+        "w1": _cap_body(rng, c1, 40, 0.4).tolist(),
+        "w2": _cap_body(rng, c2, 40, 0.4).tolist(),
+        "tolerances": {"max_iter": 1},
+    }
+    path = write_instance(tmp_path, doc)
+    code, out, _ = run_cli(capsys, "witness", path, "--method", "lp")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "ambiguous" and "pivots" in doc["reason"]
+    code, out, err = run_cli(capsys, "witness", path, "--method", "proof-path")
+    assert code == 5
+    assert out == ""
+    assert "constructive witness route failed" in err and "pivots" in err
+
+
+def test_band_edge_hemisphericity_is_ambiguous(tmp_path, capsys):
+    # two generators 0.9e-9 rad off the equator of (1,1)/sqrt2, against the
+    # antipodal generator: the unit-scale margin 0.9e-9 is inside the 1e-9
+    # band, so every route reports ambiguous
+    th = 0.9e-9
+    p, e = np.array([S, S]), np.array([S, -S])
+    w1 = [np.cos(th) * e + np.sin(th) * p, -np.cos(th) * e + np.sin(th) * p]
+    doc = {"n": 1, "w1": [g.tolist() for g in w1], "w2": [(-p).tolist()]}
+    path = write_instance(tmp_path, doc)
+    for args in (("check",), ("witness",), ("witness", "--method", "proof-path")):
+        code, out, _ = run_cli(capsys, args[0], path, *args[1:])
+        assert code == 3, args
+        assert json.loads(out)["status"] == "ambiguous", args
 
 
 def test_flag_overrides_file_tolerances(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sphsep.errors import GenerationFailed
+from sphsep.geometry import ToleranceConfig
 from sphsep.harness import (
     CampaignReport,
     InstanceSpec,
@@ -38,7 +39,7 @@ def test_generate_shapes_and_units():
     spec = InstanceSpec(dimension=2, k1=5, k2=3, seed=7)
     b1, b2 = generate(spec)
     assert b1.generators.shape[1] == 3
-    assert b1.num_generators <= 5 and b2.num_generators <= 3  # dedupe may shrink
+    assert b1.generators.shape[0] <= 5 and b2.generators.shape[0] <= 3  # dedupe may shrink
     assert np.allclose(np.linalg.norm(b1.generators, axis=1), 1.0)
 
 
@@ -74,6 +75,14 @@ def test_campaign_accounting_invariant():
     # every disjoint instance went through all four deep checks
     for name in ("witness_soundness", "proof_path", "wedge_convexity_grid", "openness_probe"):
         assert report.checks[name] == report.disjoint
+
+
+def test_campaign_survives_pivot_budget_overrun():
+    report = run_equivalence_campaign(4, [5], [40], 42, ToleranceConfig(max_iter=1))
+    assert report.instances == 4
+    assert report.instances == report.agreements + report.ambiguous + report.disagreements
+    overruns = [f for f in report.failures if "pivot budget exceeded" in f]
+    assert overruns and all(f.startswith("seed=") for f in overruns)
 
 
 def test_campaign_mode_cycle_produces_both_kinds():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphsep.convexity import SphericalBody, spherical_hull_member
+from sphsep.convexity import SphericalBody, _pole_lp
 from sphsep.errors import (
     ContractionStalled,
     DimensionMismatch,
@@ -15,6 +15,7 @@ from sphsep.geometry import ToleranceConfig, normalize
 from sphsep.harness import InstanceSpec, Mode, generate
 from sphsep.separation import (
     Hyperplane,
+    _separating_hyperplane_contracted,
     dual_witness,
     primal_intersect,
     proof_path_witness,
@@ -22,7 +23,7 @@ from sphsep.separation import (
     wedge_openness_probe,
 )
 
-from .oracles import separates
+from .oracles import cone_member_oracle, lp_oracle, separates
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -68,8 +69,8 @@ def test_primal_hull_overlap_without_shared_generator():
     b2 = SphericalBody(np.array([pt(30), pt(80)]))
     inter = primal_intersect(b1, b2)
     assert inter is not None
-    assert spherical_hull_member(b1, inter.common_point).member
-    assert spherical_hull_member(b2, inter.common_point).member
+    assert cone_member_oracle(b1.generators, inter.common_point)
+    assert cone_member_oracle(b2.generators, inter.common_point)
 
 
 def test_primal_rejects_dimension_mismatch():
@@ -209,6 +210,42 @@ def test_proof_path_contraction_round_cap():
     b1, b2 = disjoint_pair(seed=0)
     with pytest.raises(ContractionStalled):
         proof_path_witness(b1, b2, ToleranceConfig(max_iter=1))
+
+
+# vertex-set centres and contraction factor: hulls on opposite sides of the
+# origin (sign regime a > 0 > b) at every sigma, then hulls on one side, where
+# only a mild contraction keeps them apart (regimes a, b > 0 and a, b < 0)
+_UNION_CASES = [((3.0, 0.0), (-3.0, 1.0), s) for s in (0.5, 0.1, 1e-3)] + [
+    ((10.0, 0.0), (2.0, 0.0), 0.5),
+    ((2.0, 0.0), (10.0, 0.0), 0.5),
+]
+
+
+@pytest.mark.parametrize("seed", [3, 9, 21])
+@pytest.mark.parametrize("c1, c2, sigma", _UNION_CASES)
+def test_contracted_separation_matches_materialized_union(seed, c1, c2, sigma):
+    # The contracted routine never lists the copies sigma * v; its slack must
+    # still equal the max-slack separation of the materialized unions
+    # v u sigma v, solved here by vertex enumeration.
+    rng = np.random.default_rng(seed)
+    v1 = np.array(c1) + 0.5 * rng.standard_normal((3, 2))
+    v2 = np.array(c2) + 0.5 * rng.standard_normal((3, 2))
+    u1, u2 = np.vstack([v1, sigma * v1]), np.vstack([v2, sigma * v2])
+
+    hyp, slack = _separating_hyperplane_contracted(v1, v2, sigma, ToleranceConfig())
+    assert np.min(u1 @ hyp.normal) - hyp.offset >= slack - 1e-9
+    assert hyp.offset - np.max(u2 @ hyp.normal) >= slack - 1e-9
+
+    h1 = np.hstack([u1, -np.ones((6, 1))])
+    h2 = np.hstack([u2, -np.ones((6, 1))])
+    lp = _pole_lp(np.vstack([h1, -h2]))
+    lp.lower[-1], lp.upper[-1] = -10.0, 10.0  # t never reaches this box
+    status, best = lp_oracle(lp)
+    assert status == "optimal"
+    # the optimum touches the |P_k|, |r| <= 1 box, so rescaling the unit
+    # hyperplane back into it recovers the box-scale slack
+    box = max(np.max(np.abs(hyp.normal)), abs(hyp.offset))
+    assert slack / box == pytest.approx(best, rel=1e-6, abs=1e-12)
 
 
 def test_openness_probe_zero_samples_vacuous():
