@@ -45,12 +45,7 @@ from .errors import (
 )
 from .geometry import DEFAULT_CONFIG, ToleranceConfig, normalize, orthonormal_frame
 from .harness import run_equivalence_campaign
-from .separation import (
-    dual_witness,
-    primal_intersect,
-    proof_path_witness,
-    wedge_membership,
-)
+from .separation import dual_witness, primal_intersect, proof_path_witness
 
 __all__ = ["main"]
 
@@ -184,9 +179,6 @@ def _cmd_witness(args) -> int:
             if cert.kind == "intersecting":
                 _emit(_intersection_doc(cert))
                 return 2
-            if not wedge_membership(b1, b2, cert.witness, cfg).member:
-                _emit({"status": "ambiguous", "reason": "witness failed re-validation"})
-                return 3
             _emit(
                 {
                     "status": "disjoint",
@@ -206,8 +198,6 @@ def _cmd_witness(args) -> int:
             cert, trace = proof_path_witness(b1, b2, cfg, w1=w1, w2=w2)
         except (EpsilonSearchFailed, ContractionStalled, IterationLimit) as exc:
             return _fail(f"constructive witness route failed: {exc}", 5)
-        if not wedge_membership(b1, b2, cert.witness, cfg).member:
-            return _fail("constructed witness failed re-validation", 5)
         _emit(
             {
                 "status": "disjoint",
@@ -320,7 +310,9 @@ def _hull_edges_2d(points: np.ndarray) -> list[tuple[int, int]]:
     return [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
 
 
-def _body_scene(body: SphericalBody, cfg: ToleranceConfig) -> dict:
+def _body_scene(body: SphericalBody, cfg: ToleranceConfig) -> tuple[dict, np.ndarray]:
+    """Scene entry of one body, plus the hemisphericity witness it was
+    projected along (reused by the caller for the dual pole LP)."""
     gens = body.generators
     witness = hemisphericity_witness(body, cfg)
     frame = orthonormal_frame(witness, cfg)
@@ -328,7 +320,7 @@ def _body_scene(body: SphericalBody, cfg: ToleranceConfig) -> dict:
     arcs = [
         _slerp(gens[i], gens[j], _ARC_SAMPLES) for i, j in _hull_edges_2d(flat)
     ]
-    return {"generators": [_coords(g) for g in gens], "arcs": arcs}
+    return {"generators": [_coords(g) for g in gens], "arcs": arcs}, witness
 
 
 def _cmd_plot(args) -> int:
@@ -339,9 +331,11 @@ def _cmd_plot(args) -> int:
     if b1.n != 2:
         return _fail(f"plot supports S^2 scenes only, instance is on S^{b1.n}", 4)
     try:
-        scene = {"bodies": [_body_scene(b1, cfg), _body_scene(b2, cfg)]}
+        scene1, w1 = _body_scene(b1, cfg)
+        scene2, w2 = _body_scene(b2, cfg)
+        scene = {"bodies": [scene1, scene2]}
         try:
-            cert = dual_witness(b1, b2, cfg)
+            cert = dual_witness(b1, b2, cfg, w1=w1, w2=w2)
         except NumericallyAmbiguous:
             cert = None
         if cert is not None and cert.kind == "disjoint":

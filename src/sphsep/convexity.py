@@ -39,12 +39,17 @@ __all__ = [
 
 
 def _dedupe_rows(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Drop rows that repeat an earlier row within tol (max-norm), keeping
-    first occurrences in order."""
-    keep: list[int] = []
-    for i in range(rows.shape[0]):
-        if all(np.max(np.abs(rows[i] - rows[k])) > tol for k in keep):
-            keep.append(i)
+    """Drop rows that repeat an earlier kept row within tol (max-norm),
+    keeping first occurrences in order.
+
+    Each row is compared with all earlier rows at once; it is dropped only
+    when one of the close earlier rows was itself kept, so a chain a~b~c
+    with |a - c| > tol keeps a and c.  Temporary memory is one (i, d) block.
+    """
+    keep = np.ones(rows.shape[0], dtype=bool)
+    for i in range(1, rows.shape[0]):
+        close = np.abs(rows[:i] - rows[i]).max(axis=1) <= tol
+        keep[i] = not (close & keep[:i]).any()
     return rows[keep]
 
 

@@ -8,6 +8,7 @@ external solver is used anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,6 +30,8 @@ LE = "<="
 EQ = "="
 GE = ">="
 _RELATIONS = (LE, EQ, GE)
+# relation codes of the standard-form rows; negating a row negates its code
+_CODE = {LE: 1, EQ: 0, GE: -1}
 
 
 class LpStatus(Enum):
@@ -99,50 +102,55 @@ def _standardize(lp: LinearProgram):
     Variables with lower bound 0 pass through; positive lower bounds are
     shifted out; anything that can go negative is split into a nonnegative
     pair.  Finite bounds not absorbed by the rewrite become explicit rows.
-    Returns (c, rows, rels, rhs, S, shift) with x = S @ x_std + shift.
+    Returns (c, A, code, rhs, S, shift) with x = S @ x_std + shift, where
+    code holds one relation per row of A as +1 (<=), 0 (=) or -1 (>=).
+
+    Standard column k is original variable owner[k] times sign[k], so the
+    rows are mapped by a signed column gather: the same values as A0 @ S
+    without a matrix product.
     """
     nv = lp.num_vars
-    cols: list[tuple[int, float]] = []  # (original var, sign)
+    owner: list[int] = []
+    sign: list[float] = []
     shift = np.zeros(nv)
-    extra: list[tuple[dict[int, float], str, float]] = []  # sparse std-space rows
+    extra: list[tuple[dict[int, float], float]] = []  # sparse std-space <= rows
 
-    for j in range(nv):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if lo == 0.0 or (np.isfinite(lo) and lo > 0.0):
+    for j, (lo, hi) in enumerate(zip(lp.lower.tolist(), lp.upper.tolist())):
+        if lo == 0.0 or (math.isfinite(lo) and lo > 0.0):
             shift[j] = lo
-            cols.append((j, 1.0))
-            if np.isfinite(hi):
-                extra.append(({len(cols) - 1: 1.0}, LE, hi - lo))
+            owner.append(j)
+            sign.append(1.0)
+            if math.isfinite(hi):
+                extra.append(({len(owner) - 1: 1.0}, hi - lo))
         else:
             # lo < 0 or lo = -inf: split into a nonnegative pair
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
-            p, m = len(cols) - 2, len(cols) - 1
-            if np.isfinite(hi):
-                extra.append(({p: 1.0, m: -1.0}, LE, hi))
-            if np.isfinite(lo):
-                extra.append(({p: -1.0, m: 1.0}, LE, -lo))
+            owner += [j, j]
+            sign += [1.0, -1.0]
+            p, m = len(owner) - 2, len(owner) - 1
+            if math.isfinite(hi):
+                extra.append(({p: 1.0, m: -1.0}, hi))
+            if math.isfinite(lo):
+                extra.append(({p: -1.0, m: 1.0}, -lo))
 
-    ns = len(cols)
+    ns = len(owner)
+    sign = np.array(sign)
     S = np.zeros((nv, ns))
-    for k, (j, sign) in enumerate(cols):
-        S[j, k] = sign
+    S[owner, np.arange(ns)] = sign
 
-    c = lp.objective @ S
-    rows, rels, rhs = [], [], []
-    for row, rel, b in lp.constraints:
-        rows.append(row @ S)
-        rels.append(rel)
-        rhs.append(b - float(row @ shift))
-    for sparse, rel, b in extra:
-        r = np.zeros(ns)
+    cons = lp.constraints
+    A0 = np.array([row for row, _, _ in cons]).reshape(len(cons), nv)
+    if shift.any():  # some positive lower bound was shifted out
+        rhs = [b - float(row @ shift) for row, _, b in cons]
+    else:
+        rhs = [b for _, _, b in cons]
+    E = np.zeros((len(extra), ns))
+    for i, (sparse, b) in enumerate(extra):
         for k, v in sparse.items():
-            r[k] = v
-        rows.append(r)
-        rels.append(rel)
+            E[i, k] = v
         rhs.append(b)
-    A = np.array(rows) if rows else np.zeros((0, ns))
-    return c, A, rels, np.array(rhs), S, shift
+    A = np.vstack([A0[:, owner] * sign, E])
+    code = np.array([_CODE[rel] for _, rel, _ in cons] + [1] * len(extra), dtype=np.intp)
+    return lp.objective[owner] * sign, A, code, np.array(rhs, dtype=float), S, shift
 
 
 class _PivotBudget:
@@ -160,25 +168,29 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors[:, None] * T[row]
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], tol: float, budget: _PivotBudget) -> str:
+def _run_simplex(T: np.ndarray, basis: np.ndarray, tol: float, budget: _PivotBudget) -> str:
     """Bland's rule: smallest improving column, ratio ties broken by
-    smallest basic variable index.  Returns 'optimal' or 'unbounded'."""
+    smallest basic variable index.  Returns 'optimal' or 'unbounded'.
+
+    T is pivoted in place; ``basis`` (an intp array, one basic column per
+    row) is updated in place."""
     m = T.shape[0] - 1
+    cost, rhs = T[-1, :-1], T[:m, -1]  # views, kept current by _pivot
     while True:
-        improving = np.flatnonzero(T[-1, :-1] < -tol)
-        if improving.size == 0:
+        improving = cost < -tol
+        col = improving.argmax()
+        if not improving[col]:
             return "optimal"
-        col = int(improving[0])
-        pos = np.flatnonzero(T[:m, col] > tol)
+        column = T[:m, col]
+        pos = (column > tol).nonzero()[0]
         if pos.size == 0:
             return "unbounded"
-        ratios = T[pos, -1] / T[pos, col]
-        best = ratios.min()
-        ties = pos[ratios == best]
-        row = int(ties[np.argmin([basis[i] for i in ties])])
+        ratios = rhs[pos] / column[pos]
+        ties = pos[ratios == ratios.min()]
+        row = ties[basis[ties].argmin()]
         _pivot(T, row, col)
         basis[row] = col
         budget.spend()
@@ -191,92 +203,69 @@ def solve(lp: LinearProgram, tol: float = 1e-10, max_pivots: int = 20_000) -> Lp
     phase-1 optimum exceeded ``tol``.  Identical inputs produce bit-identical
     outcomes.  Raises IterationLimit past ``max_pivots`` total pivots.
     """
-    c, A, rels, rhs, S, shift = _standardize(lp)
+    c, A, code, rhs, S, shift = _standardize(lp)
     m, ns = A.shape
 
     # orient all rows to nonnegative rhs; >= rows with rhs 0 become <= rows
     # so that they need no artificial variable
-    A = A.copy()
-    rhs = rhs.copy()
-    rels = list(rels)
-    for i in range(m):
-        if rhs[i] < 0 or (rhs[i] == 0.0 and rels[i] == GE):
-            A[i] = -A[i]
-            rhs[i] = -rhs[i]
-            rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
+    flip = (rhs < 0) | ((rhs == 0.0) & (code == -1))
+    A[flip] = -A[flip]
+    rhs[flip] = -rhs[flip]
+    code[flip] = -code[flip]
 
-    n_slack = sum(1 for r in rels if r != EQ)
-    n_art = sum(1 for r in rels if r != LE)
+    # <= rows get a slack (+1) that starts basic; >= rows a surplus (-1) and
+    # an artificial; = rows an artificial only.  Slack and artificial
+    # columns are numbered in row order.
+    slack_rows = (code != 0).nonzero()[0]
+    art_rows = (code != 1).nonzero()[0]
+    n_slack, n_art = slack_rows.size, art_rows.size
+    slack_cols = ns + np.arange(n_slack)
+    art_cols = ns + n_slack + np.arange(n_art)
     total = ns + n_slack + n_art
     T = np.zeros((m + 1, total + 1))
     T[:m, :ns] = A
     T[:m, -1] = rhs
-
-    basis: list[int] = []
-    art_cols: list[int] = []
-    si, ai = ns, ns + n_slack
-    for i, rel in enumerate(rels):
-        if rel == LE:
-            T[i, si] = 1.0
-            basis.append(si)
-            si += 1
-        elif rel == GE:
-            T[i, si] = -1.0
-            si += 1
-            T[i, ai] = 1.0
-            basis.append(ai)
-            art_cols.append(ai)
-            ai += 1
-        else:
-            T[i, ai] = 1.0
-            basis.append(ai)
-            art_cols.append(ai)
-            ai += 1
+    T[slack_rows, slack_cols] = code[slack_rows]
+    T[art_rows, art_cols] = 1.0
+    basis = np.empty(m, dtype=np.intp)
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols
 
     budget = _PivotBudget(max_pivots)
 
     if n_art:
         # phase 1: maximize -(sum of artificials)
-        art_rows = [i for i in range(m) if basis[i] in art_cols]
         T[-1, :] = -T[art_rows].sum(axis=0)
-        for j in art_cols:
-            T[-1, j] += 1.0
+        T[-1, art_cols] += 1.0
         status = _run_simplex(T, basis, tol, budget)
         if status != "optimal":
             raise IterationLimit("phase 1 reported unbounded; numerical breakdown")
         if T[-1, -1] < -tol:
             return LpOutcome(status=LpStatus.INFEASIBLE)
         # drive leftover artificials out of the basis, dropping redundant rows
-        art_set = set(art_cols)
-        keep = []
-        for i in range(m):
-            if basis[i] in art_set:
-                candidates = np.flatnonzero(np.abs(T[i, :ns]) > tol)
-                if candidates.size:
-                    _pivot(T, i, int(candidates[0]))
-                    basis[i] = int(candidates[0])
-                    budget.spend()
-                    keep.append(i)
-                # else: redundant row, drop it
+        keep = np.ones(m + 1, dtype=bool)
+        for i in np.flatnonzero(basis >= ns + n_slack):
+            candidates = np.abs(T[i, :ns]) > tol
+            col = candidates.argmax()
+            if candidates[col]:
+                _pivot(T, i, col)
+                basis[i] = col
+                budget.spend()
             else:
-                keep.append(i)
-        T = np.vstack([T[keep], T[-1:]])
-        basis = [basis[i] for i in keep]
-        m = len(keep)
-        # remove artificial columns
-        mask = np.ones(total + 1, dtype=bool)
-        mask[ns + n_slack : total] = False
-        T = T[:, mask]
+                keep[i] = False  # redundant row
+        # keep the surviving rows and the objective, remove artificial columns
+        T = T[np.ix_(np.flatnonzero(keep), np.r_[: ns + n_slack, total])]
+        basis = basis[keep[:m]]
+        m = basis.size
 
     # phase 2
     c_ext = np.zeros(T.shape[1] - 1)
     c_ext[:ns] = c
     T[-1, :-1] = -c_ext
     T[-1, -1] = 0.0
-    for i in range(m):
-        cb = c_ext[basis[i]]
-        if cb != 0.0:
-            T[-1] += cb * T[i]
+    cb = c_ext[basis]
+    for i in np.flatnonzero(cb != 0.0):
+        T[-1] += cb[i] * T[i]
     status = _run_simplex(T, basis, tol, budget)
     if status == "unbounded":
         return LpOutcome(status=LpStatus.UNBOUNDED)

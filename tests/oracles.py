@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's simplex code path:
 optima come from exhaustive vertex enumeration with dense linear algebra,
-and hull membership from Caratheodory subset enumeration.  Slow but
-obviously correct at test scale.
+hull membership from Caratheodory subset enumeration, and duplicate rows
+from a pairwise loop.  Slow but obviously correct at test scale.
 """
 
 from __future__ import annotations
@@ -128,3 +128,13 @@ def separates(p: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> float:
     p.q and over body-2 generators of -p.r.  Positive means p separates."""
     pv = np.asarray(p, dtype=float)
     return min(float(np.min(g1 @ pv)), float(np.min(-(g2 @ pv))))
+
+
+def dedupe_rows_oracle(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Rows with every repeat of an earlier kept row dropped: row i is kept
+    when its max-norm distance to each row kept so far exceeds tol."""
+    keep: list[int] = []
+    for i in range(rows.shape[0]):
+        if all(np.max(np.abs(rows[i] - rows[k])) > tol for k in keep):
+            keep.append(i)
+    return rows[keep]

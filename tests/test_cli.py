@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sphsep.cli import main
-from sphsep.convexity import SphericalBody
+from sphsep.convexity import SphericalBody, hemisphericity_witness
 from sphsep.harness import CampaignReport, _cap_body, _random_tangent, _random_unit
 from sphsep.separation import wedge_membership
 
@@ -313,6 +313,24 @@ def test_plot_scene_structure(tmp_path, capsys):
     assert boundary.shape == (128, 3)
     assert np.max(np.abs(boundary @ w)) < 1e-9
     assert np.allclose(np.linalg.norm(boundary, axis=1), 1.0)
+
+
+def test_plot_solves_each_hemisphericity_lp_once(tmp_path, capsys, monkeypatch):
+    # the two witnesses found for projecting the bodies are handed on to the
+    # dual pole LP instead of being solved for again
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return hemisphericity_witness(*args, **kwargs)
+
+    for module in ("sphsep.convexity", "sphsep.separation", "sphsep.cli"):
+        monkeypatch.setattr(f"{module}.hemisphericity_witness", spy)
+    doc = {"n": 2, "w1": DISJOINT_S2["w1"][:2], "w2": DISJOINT_S2["w2"][:1]}
+    path = write_instance(tmp_path, doc)
+    code, _, _ = run_cli(capsys, "plot", path, "-o", str(tmp_path / "scene.json"))
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_plot_arc_endpoints_are_generators(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sphsep.convexity import (
     SphericalBody,
     TangentPolytope,
+    _dedupe_rows,
     fatten,
     hemisphericity_witness,
     project_body,
@@ -17,7 +20,7 @@ from sphsep.errors import (
 )
 from sphsep.geometry import ToleranceConfig, normalize, orthonormal_frame
 
-from .oracles import hull_member_oracle
+from .oracles import dedupe_rows_oracle, hull_member_oracle
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -40,6 +43,46 @@ def test_body_validates_and_dedupes():
     assert body.n == 1
     with pytest.raises(DimensionMismatch):
         SphericalBody(np.array([[1.0, 1.0]]))  # not unit length
+
+
+TOL = 1e-12
+
+
+@pytest.mark.parametrize(
+    "rows, kept",
+    [
+        # chain a ~ b ~ c with |a - c| > tol: b repeats a, c repeats only
+        # the dropped b, so a and c stay
+        ([[0.0, 0.0], [0.6 * TOL, 0.0], [1.2 * TOL, 0.0]], [0, 2]),
+        # duplicates that are not adjacent
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 0.5 * TOL], [0.5, 0.5], [0.0, 1.0]], [0, 1, 3]),
+        # a distance of exactly tol repeats, the next double above does not
+        ([[0.0, 0.0], [TOL, 0.0]], [0]),
+        ([[0.0, 0.0], [np.nextafter(TOL, 1.0), 0.0]], [0, 1]),
+        ([[0.3, -0.4, 0.5]], [0]),
+    ],
+    ids=["chain", "non_adjacent", "at_tol", "above_tol", "single_row"],
+)
+def test_dedupe_rows_matches_pairwise_reference(rows, kept):
+    rows = np.array(rows)
+    got = _dedupe_rows(rows, TOL)
+    assert np.array_equal(got, dedupe_rows_oracle(rows, TOL))
+    assert np.array_equal(got, rows[kept])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_dedupe_rows_property_planted_near_duplicates(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 5))
+    rows = rng.standard_normal((int(rng.integers(1, 8)), d))
+    for _ in range(int(rng.integers(0, 10))):
+        # a copy of an earlier row moved by up to 2 tol per coordinate, so
+        # some copies repeat it and some do not
+        src = rows[int(rng.integers(rows.shape[0]))]
+        near = src + rng.uniform(-2.0, 2.0, d) * TOL
+        rows = np.insert(rows, int(rng.integers(rows.shape[0] + 1)), near, axis=0)
+    assert np.array_equal(_dedupe_rows(rows, TOL), dedupe_rows_oracle(rows, TOL))
 
 
 def test_from_points_normalizes():
