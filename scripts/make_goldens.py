@@ -12,6 +12,7 @@ rerunning this script reproduces the corpus byte for byte.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -58,9 +59,12 @@ def instance_doc(index: int) -> tuple[dict, dict]:
 
 
 def run_command(instance_path: Path, argv: list[str]) -> tuple[bytes, int]:
+    # the CLI runs from this checkout's src, installed or not
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "sphsep", *argv, str(instance_path)],
         capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.stdout, proc.returncode
 

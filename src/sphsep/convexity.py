@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeEpsilon, NotHemispherical
+from .errors import DimensionMismatch, NegativeEpsilon, NotHemispherical, ZeroVector
 from .geometry import (
     DEFAULT_CONFIG,
     _SHAPE_TOL,
     TangentFrame,
     ToleranceConfig,
     central_project,
-    central_unproject,
     normalize,
 )
 from .lp import GE, LinearProgram, LpStatus, solve
@@ -84,9 +83,20 @@ class SphericalBody:
     def from_points(
         cls, points, cfg: ToleranceConfig = DEFAULT_CONFIG
     ) -> "SphericalBody":
+        """Body of the given points, each row scaled to unit length.
+
+        Raises ValueError on input that is not a matrix of finite numbers
+        and ZeroVector when some row has norm at or below cfg.unit_tol.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rows = [normalize(p, cfg) for p in pts]
-        return cls(generators=np.array(rows))
+        if pts.ndim != 2:
+            raise ValueError(f"vector must be one-dimensional, got shape {pts.shape[1:]}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("vector contains non-finite entries")
+        norms = np.linalg.norm(pts, axis=-1, keepdims=True)
+        if np.any(norms <= cfg.unit_tol):
+            raise ZeroVector(f"cannot normalize vector with norm {norms.min():.3e}")
+        return cls(generators=pts / norms)
 
     @property
     def n(self) -> int:
@@ -205,5 +215,5 @@ def pullback(
     Always hemispherical with witness frame.base, since every unprojected
     point has dot 1/sqrt(1 + |x|^2) > 0 against the base.
     """
-    gens = np.array([central_unproject(poly.frame, x) for x in poly.vertices])
-    return SphericalBody.from_points(gens, cfg)
+    frame = poly.frame
+    return SphericalBody.from_points(frame.base + poly.vertices @ frame.basis, cfg)

@@ -1,9 +1,11 @@
-"""Dense two-phase simplex solver with Bland's rule.
+"""Dense two-phase simplex solver: Dantzig pricing with a Bland fallback.
 
-Self-contained and deterministic: the feasibility and separation queries in
-this package involve at most a few hundred rows and columns, so a plain
-tableau implementation is both fast enough and exactly reproducible.  No
-external solver is used anywhere.
+The entering column is the one with the most negative reduced cost; after a
+run of degenerate pivots Bland's rule takes over until the objective moves
+again, which guards against cycling.  Self-contained and deterministic: the
+feasibility and separation queries in this package involve at most a few
+hundred rows and columns, so a plain tableau implementation is both fast
+enough and exactly reproducible.  No external solver is used anywhere.
 """
 
 from __future__ import annotations
@@ -171,18 +173,35 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T -= factors[:, None] * T[row]
 
 
+# consecutive degenerate pivots (pivot-row rhs at most tol, roundoff
+# included) after which Bland's rule replaces Dantzig pricing until the
+# next non-degenerate pivot
+_BLAND_AFTER = 50
+
+
 def _run_simplex(T: np.ndarray, basis: np.ndarray, tol: float, budget: _PivotBudget) -> str:
-    """Bland's rule: smallest improving column, ratio ties broken by
-    smallest basic variable index.  Returns 'optimal' or 'unbounded'.
+    """Dantzig pricing with a Bland fallback.  Returns 'optimal' or
+    'unbounded'.
+
+    The entering column has the most negative reduced cost (smallest index
+    on ties).  The leaving row has the smallest ratio, ties broken by the
+    smallest basic variable index.  After _BLAND_AFTER consecutive
+    degenerate pivots the entering column is the smallest improving one
+    (Bland's rule) until a pivot row's rhs exceeds tol.  Bland's rule cannot
+    cycle in exact arithmetic; judging degeneracy by tol keeps roundoff from
+    resetting the run, and the pivot budget bounds the loop in any case.
 
     T is pivoted in place; ``basis`` (an intp array, one basic column per
     row) is updated in place."""
     m = T.shape[0] - 1
     cost, rhs = T[-1, :-1], T[:m, -1]  # views, kept current by _pivot
+    degenerate = 0
     while True:
-        improving = cost < -tol
-        col = improving.argmax()
-        if not improving[col]:
+        if degenerate < _BLAND_AFTER:
+            col = cost.argmin()
+        else:
+            col = (cost < -tol).argmax()
+        if not cost[col] < -tol:
             return "optimal"
         column = T[:m, col]
         pos = (column > tol).nonzero()[0]
@@ -191,6 +210,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, tol: float, budget: _PivotBud
         ratios = rhs[pos] / column[pos]
         ties = pos[ratios == ratios.min()]
         row = ties[basis[ties].argmin()]
+        degenerate = degenerate + 1 if rhs[row] <= tol else 0
         _pivot(T, row, col)
         basis[row] = col
         budget.spend()
@@ -242,10 +262,11 @@ def solve(lp: LinearProgram, tol: float = 1e-10, max_pivots: int = 20_000) -> Lp
             raise IterationLimit("phase 1 reported unbounded; numerical breakdown")
         if T[-1, -1] < -tol:
             return LpOutcome(status=LpStatus.INFEASIBLE)
-        # drive leftover artificials out of the basis, dropping redundant rows
+        # drive leftover artificials out of the basis on any structural or
+        # slack column; a row with none left is redundant and dropped
         keep = np.ones(m + 1, dtype=bool)
         for i in np.flatnonzero(basis >= ns + n_slack):
-            candidates = np.abs(T[i, :ns]) > tol
+            candidates = np.abs(T[i, : ns + n_slack]) > tol
             col = candidates.argmax()
             if candidates[col]:
                 _pivot(T, i, col)

@@ -192,24 +192,31 @@ def test_witness_proof_path_failure_exit_code(tmp_path, capsys):
     assert code == 0
 
 
-def test_pivot_budget_overrun_exit_codes(tmp_path, capsys):
-    # 40+40 generators on S^5 around orthogonal centres with a one-round
-    # budget (100 pivots): the hemisphericity and cone LPs fit, the dual
-    # pole LP and the constructive route do not
+def _orthogonal_caps_doc(n, k):
+    # k+k generators on S^n around orthogonal centres, with a one-round
+    # budget: every LP may take 100 pivots
     rng = np.random.default_rng(12)
-    c1 = _random_unit(rng, 6)
+    c1 = _random_unit(rng, n + 1)
     c2 = _random_tangent(rng, c1)
-    doc = {
-        "n": 5,
-        "w1": _cap_body(rng, c1, 40, 0.4).tolist(),
-        "w2": _cap_body(rng, c2, 40, 0.4).tolist(),
+    return {
+        "n": n,
+        "w1": _cap_body(rng, c1, k, 0.4).tolist(),
+        "w2": _cap_body(rng, c2, k, 0.4).tolist(),
         "tolerances": {"max_iter": 1},
     }
-    path = write_instance(tmp_path, doc)
+
+
+def test_pivot_budget_overrun_exit_codes(tmp_path, capsys):
+    # on S^40 the hemisphericity LPs (97 pivots at most) fit, the dual pole
+    # LP (112) does not
+    path = write_instance(tmp_path, _orthogonal_caps_doc(40, 80), "lp.json")
     code, out, _ = run_cli(capsys, "witness", path, "--method", "lp")
     assert code == 3
     doc = json.loads(out)
     assert doc["status"] == "ambiguous" and "pivots" in doc["reason"]
+    # on S^5 the LP route fits, the constructive route's first hull
+    # separation LP (427 pivots) does not
+    path = write_instance(tmp_path, _orthogonal_caps_doc(5, 40), "pp.json")
     code, out, err = run_cli(capsys, "witness", path, "--method", "proof-path")
     assert code == 5
     assert out == ""

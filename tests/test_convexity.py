@@ -17,8 +17,9 @@ from sphsep.errors import (
     NegativeEpsilon,
     NotHemispherical,
     OutsideOpenHemisphere,
+    ZeroVector,
 )
-from sphsep.geometry import ToleranceConfig, normalize, orthonormal_frame
+from sphsep.geometry import ToleranceConfig, central_unproject, normalize, orthonormal_frame
 
 from .oracles import dedupe_rows_oracle, hull_member_oracle
 
@@ -88,6 +89,20 @@ def test_dedupe_rows_property_planted_near_duplicates(seed):
 def test_from_points_normalizes():
     body = SphericalBody.from_points(np.array([[3.0, 0.0], [0.0, 0.5]]))
     assert np.allclose(body.generators, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "points, error",
+    [
+        ([[1.0, 0.0], [0.0, 1e-13]], ZeroVector),
+        ([[1.0, 0.0], [np.nan, 1.0]], ValueError),
+        ([[1.0, 0.0], [np.inf, 1.0]], ValueError),
+        (np.ones((2, 2, 2)), ValueError),
+    ],
+)
+def test_from_points_rejects_malformed_rows(points, error):
+    with pytest.raises(error):
+        SphericalBody.from_points(np.array(points))
 
 
 def test_body_generators_frozen():
@@ -197,3 +212,14 @@ def test_pullback_inverts_projection():
     back = pullback(project_body(body, frame))
     assert back.generators.shape == body.generators.shape
     assert np.max(np.abs(back.generators - body.generators)) < 1e-12
+
+
+def test_pullback_matches_per_vertex_unprojection():
+    rng = np.random.default_rng(29)
+    center = normalize(rng.standard_normal(5))
+    frame = orthonormal_frame(center)
+    poly = fatten(project_body(cap_body(rng, center, 7), frame), 0.05)
+    back = pullback(poly)
+    ref = np.array([central_unproject(frame, x) for x in poly.vertices])
+    assert back.generators.shape == ref.shape
+    assert np.max(np.abs(back.generators - ref)) < 1e-15

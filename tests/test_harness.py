@@ -78,11 +78,27 @@ def test_campaign_accounting_invariant():
 
 
 def test_campaign_survives_pivot_budget_overrun():
-    report = run_equivalence_campaign(4, [5], [40], 42, ToleranceConfig(max_iter=1))
+    # on S^40 with 80 generators a body's LPs need more than the 100 pivots
+    # of one round
+    report = run_equivalence_campaign(4, [40], [80], 42, ToleranceConfig(max_iter=1))
     assert report.instances == 4
     assert report.instances == report.agreements + report.ambiguous + report.disagreements
     overruns = [f for f in report.failures if "pivot budget exceeded" in f]
     assert overruns and all(f.startswith("seed=") for f in overruns)
+
+
+@pytest.mark.parametrize(
+    "dims, sizes, seed",
+    [([2, 3, 1, 5], [3], 1716369485740536756), ([2, 1, 2, 5], [5], 1851009398305482809)],
+)
+def test_campaign_proof_path_reproductions_have_no_failures(dims, sizes, seed):
+    # the proof path once stalled ("offset magnitude stalled") on a
+    # force-disjoint S^3 instance of the first campaign and found "no
+    # positive slack" on a force-disjoint S^1 instance of the second
+    report = run_equivalence_campaign(4, dims, sizes, seed)
+    assert report.failures == []
+    assert report.disagreements == 0
+    assert all(v == report.disjoint for v in report.checks.values())
 
 
 def test_campaign_mode_cycle_produces_both_kinds():

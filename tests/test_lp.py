@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import sphsep.lp as lp_module
 from sphsep.errors import DimensionMismatch, IterationLimit
 from sphsep.lp import EQ, GE, LE, LinearProgram, LpStatus, solve
 
@@ -50,7 +51,7 @@ def test_equality_row():
 
 
 def test_beale_degenerate_terminates():
-    # classic cycling example; Bland's rule must still reach the optimum 0.05
+    # Beale's cycling example; the solver must still reach the optimum 0.05
     lp = LinearProgram(
         objective=np.array([0.75, -150.0, 0.02, -6.0]),
         constraints=[
@@ -62,6 +63,33 @@ def test_beale_degenerate_terminates():
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
     assert np.isclose(out.objective_value, 0.05)
+
+
+def _chvatal_cycling_lp():
+    # Chvatal, Linear Programming (1983), ch. 3: largest-coefficient pricing
+    # with smallest-index ratio ties cycles here without reaching the optimum
+    return LinearProgram(
+        objective=np.array([10.0, -57.0, -9.0, -24.0]),
+        constraints=[
+            (np.array([0.5, -5.5, -2.5, 9.0]), LE, 0.0),
+            (np.array([0.5, -1.5, -0.5, 1.0]), LE, 0.0),
+            (np.array([1.0, 0.0, 0.0, 0.0]), LE, 1.0),
+        ],
+    )
+
+
+def test_chvatal_cycling_example_reaches_optimum():
+    out = solve(_chvatal_cycling_lp(), max_pivots=500)
+    assert out.status is LpStatus.OPTIMAL
+    assert np.isclose(out.objective_value, 1.0)
+    assert lp_feasible(_chvatal_cycling_lp(), out.solution)
+
+
+def test_pure_dantzig_cycles_without_bland_fallback(monkeypatch):
+    # the fallback is what ends the cycle: without it the budget overruns
+    monkeypatch.setattr(lp_module, "_BLAND_AFTER", 10**9)
+    with pytest.raises(IterationLimit):
+        solve(_chvatal_cycling_lp(), max_pivots=500)
 
 
 def test_negative_lower_bounds():
@@ -204,6 +232,116 @@ def test_solution_feasibility_property(seed):
         assert np.isclose(out.objective_value, float(lp.objective @ out.solution))
 
 
+def _degenerate_pole_lp(rng, lift=False):
+    """maximize t over rows x . row >= t (or <= -t), all with rhs 0, in a
+    box: the origin is a vertex on every row, and small integer rows repeat,
+    so the simplex starts on a highly degenerate vertex.  A positive lower
+    bound on t makes some of them infeasible.
+
+    With ``lift``, a variable z in [0, 1] with objective weight 100 joins
+    every row as + c z on the left and c / 10 on the right, and d z <= d / 10
+    caps it.  The first pivot raises z to (d / 10) / d, a non-degenerate
+    step, and leaves the pole rows with a rhs of c / 10 - c (d / 10) / d:
+    roundoff of order 1e-17 instead of an exact 0."""
+    k = int(rng.integers(1, 4))
+    m = int(rng.integers(2, 7))
+    rows = rng.integers(-2, 3, size=(m, k)).astype(float)
+    rows[rng.random(m) < 0.3] = rows[0]
+    c = rng.integers(1, 4, size=m).astype(float) if lift else np.zeros(m)
+    cons = []
+    for row, ci in zip(rows, c):
+        if rng.random() < 0.75:
+            cons.append((np.append(row, -1.0), GE, 0.0))
+        else:
+            cons.append((np.append(row, 1.0), LE, 0.0))
+    lower = np.append(np.full(k, -1.0), rng.choice([-2.0, 0.0, 0.5]))
+    upper = np.append(np.ones(k), 2.0)
+    obj = np.zeros(k + 1)
+    obj[-1] = 1.0
+    if lift:
+        d = float(rng.choice([3.0, 6.0, 7.0]))
+        cons = [(np.append(a, ci), rel, ci / 10) for (a, rel, _), ci in zip(cons, c)]
+        cons.append((np.append(np.zeros(k + 1), d), LE, d / 10))
+        lower, upper, obj = np.append(lower, 0.0), np.append(upper, 1.0), np.append(obj, 100.0)
+    return LinearProgram(objective=obj, constraints=cons, lower=lower, upper=upper)
+
+
+@pytest.mark.parametrize("lift", [False, True])
+def test_degenerate_pole_lps_match_oracle(lift):
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(150):
+        lp = _degenerate_pole_lp(rng, lift)
+        out = solve(lp)
+        status, best = lp_oracle(lp)
+        seen.add(status)
+        if status == "infeasible":
+            assert out.status is LpStatus.INFEASIBLE
+        else:
+            assert out.status is LpStatus.OPTIMAL
+            assert abs(out.objective_value - best) < 1e-8
+            assert lp_feasible(lp, out.solution)
+    assert seen == {"optimal", "infeasible"}
+
+
+def test_roundoff_degenerate_pivots_hand_over_to_bland(monkeypatch):
+    # with a run length of 1, every pivot whose row had rhs <= tol (exact 0
+    # or roundoff) must be followed by Bland's choice within the same phase
+    monkeypatch.setattr(lp_module, "_BLAND_AFTER", 1)
+    run_simplex, pivot = lp_module._run_simplex, lp_module._pivot
+    runs = []
+    live = [False]
+
+    def spy_run(T, basis, tol, budget):
+        runs.append([])
+        live[0] = True
+        try:
+            return run_simplex(T, basis, tol, budget)
+        finally:
+            live[0] = False
+
+    def spy_pivot(T, row, col):
+        if live[0]:
+            cost = T[-1, :-1]
+            runs[-1].append((T[row, -1], col, (cost < -1e-10).argmax(), cost.argmin()))
+        pivot(T, row, col)
+
+    monkeypatch.setattr(lp_module, "_run_simplex", spy_run)
+    monkeypatch.setattr(lp_module, "_pivot", spy_pivot)
+    rng = np.random.default_rng(5)
+    for _ in range(150):
+        solve(_degenerate_pole_lp(rng, lift=True))
+    roundoff = decisive = 0
+    for run in runs:
+        for (rhs, _, _, _), (_, col, bland, dantzig) in zip(run, run[1:]):
+            if rhs <= 1e-10:
+                assert col == bland
+                roundoff += rhs != 0.0
+                decisive += rhs != 0.0 and bland != dantzig
+    # the battery reaches roundoff-degenerate vertices, and at one of them
+    # the two rules disagree, so an exact-zero test would fail here
+    assert roundoff > 0 and decisive > 0
+
+
+def test_phase_one_keeps_rows_that_pin_slacks():
+    # x1 - x2 <= 1 and x1 - x2 >= 1 pin x1 - x2 = 1; after phase 1 the
+    # artificial of the >= row is basic at 0 in a row with no structural
+    # entry, only slack ones.  Dropping it as redundant lost the constraint
+    # and returned the infeasible optimum x = 0.
+    lp = LinearProgram(
+        objective=np.array([-1.0, -1.0]),
+        constraints=[
+            (np.array([1.0, -1.0]), LE, 1.0),
+            (np.array([1.0, -1.0]), GE, 1.0),
+        ],
+        upper=np.full(2, 2.0),
+    )
+    out = solve(lp)
+    assert out.status is LpStatus.OPTIMAL
+    assert np.allclose(out.solution, [1.0, 0.0])
+    assert np.isclose(out.objective_value, -1.0)
+
+
 def _bits_battery_lp(rng):
     """A small LP that mixes every branch of solve: LE/GE/EQ rows, zero and
     negative right-hand sides, scaled copies of earlier rows (phase 1 drops
@@ -245,7 +383,7 @@ def _bits_battery_lp(rng):
 # sha256 of the battery's outcomes: any change to a pivot, a tie-break or the
 # rewrite into standard form changes it.  Update it only together with the
 # golden corpus, in a change that means to move the pivot sequence.
-_BATTERY_SHA256 = "d06d7c214a74fb58a24d2fa87f0870832f277d6a182b9072c9f43aae62a82238"
+_BATTERY_SHA256 = "dad0e0c497ab874261d7f4213ffeccd65fe58bb617f5eb00947eb31b17285052"
 
 
 def test_solver_bits_pinned():
