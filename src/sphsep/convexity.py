@@ -127,9 +127,8 @@ class TangentPolytope:
 def _pole_lp(rows: np.ndarray) -> LinearProgram:
     """maximize t subject to x . row >= t for every row, |x_k| <= 1, t free.
 
-    The one LP behind every pole in the package: generator rows give the
-    hemisphericity LP, rows (Q, -R) the dual pole LP, and homogenized
-    vertex rows (y, -1) and -(y, -1) the Euclidean hull separation.  At a
+    The LP behind the hemisphericity and dual poles: generator rows give
+    the hemisphericity LP, rows (Q, -R) the dual pole LP.  At a
     positive optimum some |x_k| is 1, so normalizing x to the unit sphere
     can only shrink the margin t.
     """

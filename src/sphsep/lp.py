@@ -1,11 +1,15 @@
 """Dense two-phase simplex solver: Dantzig pricing with a Bland fallback.
 
-The entering column is the one with the most negative reduced cost; after a
-run of degenerate pivots Bland's rule takes over until the objective moves
-again, which guards against cycling.  Self-contained and deterministic: the
-feasibility and separation queries in this package involve at most a few
-hundred rows and columns, so a plain tableau implementation is both fast
-enough and exactly reproducible.  No external solver is used anywhere.
+The entering column is the one with the most negative reduced cost, and
+among rows tied at the minimum ratio the one with the largest pivot element
+leaves; after a run of degenerate pivots Bland's rule takes over until the
+objective moves again, which guards against cycling.  Self-contained and
+deterministic: a plain tableau implementation is exactly reproducible, and
+fast enough for the feasibility and pole queries of this package, which
+have at most a few hundred rows and columns.  The proof path's hull
+separations have one row per fattened vertex (2n per generator on S^n),
+thousands on large bodies, and there the dense tableau (one slack column
+per row) dominates time and memory.  No external solver is used anywhere.
 """
 
 from __future__ import annotations
@@ -185,11 +189,15 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, tol: float, budget: _PivotBud
 
     The entering column has the most negative reduced cost (smallest index
     on ties).  The leaving row has the smallest ratio, ties broken by the
-    smallest basic variable index.  After _BLAND_AFTER consecutive
-    degenerate pivots the entering column is the smallest improving one
-    (Bland's rule) until a pivot row's rhs exceeds tol.  Bland's rule cannot
-    cycle in exact arithmetic; judging degeneracy by tol keeps roundoff from
-    resetting the run, and the pivot budget bounds the loop in any case.
+    largest pivot element: on degenerate vertices many rows tie at ratio 0,
+    and pivoting on one whose element barely exceeds tol (1e-10, say)
+    leaves the tableau too inaccurate to trust its optimum.  After
+    _BLAND_AFTER consecutive degenerate pivots the entering column is the
+    smallest improving one and ties leave by the smallest basic variable
+    index (Bland's rule, both halves of which its anti-cycling proof needs)
+    until a pivot row's rhs exceeds tol.  Bland's rule cannot cycle in exact
+    arithmetic; judging degeneracy by tol keeps roundoff from resetting the
+    run, and the pivot budget bounds the loop in any case.
 
     T is pivoted in place; ``basis`` (an intp array, one basic column per
     row) is updated in place."""
@@ -197,10 +205,8 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, tol: float, budget: _PivotBud
     cost, rhs = T[-1, :-1], T[:m, -1]  # views, kept current by _pivot
     degenerate = 0
     while True:
-        if degenerate < _BLAND_AFTER:
-            col = cost.argmin()
-        else:
-            col = (cost < -tol).argmax()
+        bland = degenerate >= _BLAND_AFTER
+        col = (cost < -tol).argmax() if bland else cost.argmin()
         if not cost[col] < -tol:
             return "optimal"
         column = T[:m, col]
@@ -209,7 +215,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, tol: float, budget: _PivotBud
             return "unbounded"
         ratios = rhs[pos] / column[pos]
         ties = pos[ratios == ratios.min()]
-        row = ties[basis[ties].argmin()]
+        row = ties[basis[ties].argmin()] if bland else ties[column[ties].argmax()]
         degenerate = degenerate + 1 if rhs[row] <= tol else 0
         _pivot(T, row, col)
         basis[row] = col

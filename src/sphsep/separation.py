@@ -259,46 +259,14 @@ def dual_witness(
     )
 
 
-def _separating_hyperplane(
-    v1: np.ndarray, v2: np.ndarray, cfg: ToleranceConfig, scale: float = 1.0
-) -> tuple[Hyperplane, float]:
-    """Max-slack hyperplane with hull(v1) on the positive side.
-
-    Solves the pole LP on the homogenized rows (y, -1) of v1 and -(y, -1)
-    of v2: maximize t subject to P . y >= r + t on v1, P . y <= r - t on
-    v2, |P_m| <= 1, |r| <= 1, t free.  Returns the hyperplane normalized to
-    unit normal (offset and slack rescale with it), plus the geometric slack.
-
-    ``scale`` is the smallest vertex magnitude in play: once contracted
-    copies shrink the corridor between the hulls, the achievable slack
-    shrinks proportionally, so the no-slack guard must be judged relative
-    to it.
-    """
-    d = v1.shape[1]
-    h1 = np.hstack([v1, -np.ones((v1.shape[0], 1))])
-    h2 = np.hstack([v2, -np.ones((v2.shape[0], 1))])
-    out = solve(
-        _pole_lp(np.vstack([h1, -h2])),
-        tol=cfg.lp_tol,
-        max_pivots=100 * cfg.max_iter,
-    )
-    if out.status is not LpStatus.OPTIMAL or out.objective_value <= cfg.lp_tol * scale:
-        raise ContractionStalled(
-            "hull separation LP found no positive slack; hulls touch within tolerance"
-        )
-    p, r, t = out.solution[:d], out.solution[d], out.solution[d + 1]
-    nrm = float(np.linalg.norm(p))
-    if nrm <= cfg.lp_tol:
-        raise ContractionStalled("degenerate zero normal in hull separation")
-    return Hyperplane(normal=p / nrm, offset=r / nrm), t / nrm
-
-
 def _separating_hyperplane_contracted(
     v1: np.ndarray, v2: np.ndarray, sigma: float, cfg: ToleranceConfig
 ) -> tuple[Hyperplane, float]:
     """Max-slack hyperplane between hull(v1 u sigma v1) and hull(v2 u sigma v2).
 
-    Listing the contracted copies as explicit vertex rows makes the tableau
+    The proof path's one hull-separation routine: its first separation is
+    the case sigma = 1, where the copies coincide with v1 and v2.  Listing
+    the contracted copies as explicit vertex rows makes the tableau
     two-scale (rows at magnitude 1 and at magnitude sigma), and once sigma
     is small the optimum slack -- proportional to sigma -- drowns in the
     roundoff that dividing by sigma-sized pivots produces.  So the union is
@@ -313,7 +281,10 @@ def _separating_hyperplane_contracted(
     the mins: three sign regimes (a<=0 with b>=0 can never give positive
     slack) each become an LP whose vertex rows are all unit-scale and where
     sigma enters only as a coefficient on the a/b columns.  The best of the
-    three equals the vertex-union optimum.
+    three equals the vertex-union optimum.  At sigma = 1 the mins are just
+    a and b, so one LP with a and b free covers all three regimes.  Returns
+    the hyperplane normalized to unit normal (offset and slack rescale with
+    it), plus the geometric slack.
     """
     d = v1.shape[1]
     # variables: P_1..P_d, a, b, t
@@ -352,11 +323,11 @@ def _separating_hyperplane_contracted(
         upper[:d] = 1.0
         if a_sign > 0:
             lower[ia] = 0.0
-        else:
+        elif a_sign < 0:
             upper[ia] = 0.0
         if b_sign > 0:
             lower[ib] = 0.0
-        else:
+        elif b_sign < 0:
             upper[ib] = 0.0
         out = solve(
             LinearProgram(objective=obj, constraints=cons, lower=lower, upper=upper),
@@ -367,11 +338,15 @@ def _separating_hyperplane_contracted(
             return None
         return out
 
+    # regimes: (alpha coeff, beta coeff, sign of a, sign of b; 0 leaves it
+    # free); the generic disjoint-cone case a > 0 > b comes first
+    if sigma == 1.0:
+        regimes = ((1.0, 1.0, 0, 0),)
+    else:
+        regimes = ((sigma, sigma, 1, -1), (sigma, 1.0, 1, 1), (1.0, sigma, -1, -1))
     best = None
     best_coeff = None
-    # regimes: (alpha coeff, beta coeff, sign of a, sign of b); the generic
-    # disjoint-cone case a > 0 > b comes first
-    for ca, cb, sa, sb in ((sigma, sigma, 1, -1), (sigma, 1.0, 1, 1), (1.0, sigma, -1, -1)):
+    for ca, cb, sa, sb in regimes:
         out = regime(ca, cb, sa, sb)
         if out is not None and (best is None or out.objective_value > best.objective_value):
             best = out
@@ -402,9 +377,10 @@ def proof_path_witness(
     projection of both bodies.  (2) Halving search for a fattening radius
     epsilon0 whose fattened pullbacks stay disjoint (starting at 0.5).
     (3) Max-slack hyperplane between the Euclidean hulls of the fattened
-    pullback generators.  (4) While the offset magnitude is >= offset_tol:
-    adjoin a contracted copy of each vertex set (factor = current offset
-    magnitude) and re-separate; the offset strictly decreases each round.
+    pullback generators: the contracted separation at sigma = 1.  (4) While
+    the offset magnitude is >= offset_tol: adjoin a contracted copy of each
+    vertex set (factor = current offset magnitude) and re-separate; the
+    offset strictly decreases each round.
     (5) The final normal, oriented toward body 1, is the witness; it is
     validated by wedge_membership on the original bodies, with a few extra
     contraction rounds if the margins are not yet strict.
@@ -448,7 +424,7 @@ def proof_path_witness(
 
     # (3) separate the Euclidean hulls
     v1_base, v2_base = x1.generators, x2.generators
-    hyp, _ = _separating_hyperplane(v1_base, v2_base, cfg)
+    hyp, _ = _separating_hyperplane_contracted(v1_base, v2_base, 1.0, cfg)
     trace = ProofTrace(epsilon0=epsilon0, hyperplane_sequence=[hyp])
 
     # (4) offset contraction; sigma accumulates the composed factors.  Any

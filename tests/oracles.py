@@ -12,22 +12,21 @@ import itertools
 
 import numpy as np
 
-from sphsep.lp import EQ, GE, LE, LinearProgram
+from sphsep.lp import GE, LE, LinearProgram
+
+
+def lp_residual(lp: LinearProgram, x: np.ndarray) -> float:
+    """Worst violation by x of a row constraint or bound of lp (0 if none)."""
+    worst = max(0.0, float(np.max(lp.lower - x)), float(np.max(x - lp.upper)))
+    for row, rel, b in lp.constraints:
+        v = float(row @ x) - b
+        worst = max(worst, v if rel == LE else -v if rel == GE else abs(v))
+    return worst
 
 
 def lp_feasible(lp: LinearProgram, x: np.ndarray, tol: float = 1e-7) -> bool:
     """Does x satisfy every row constraint and bound of lp, within tol?"""
-    for row, rel, b in lp.constraints:
-        v = float(row @ x)
-        if rel == LE and v > b + tol:
-            return False
-        if rel == GE and v < b - tol:
-            return False
-        if rel == EQ and abs(v - b) > tol:
-            return False
-    if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
-        return False
-    return True
+    return lp_residual(lp, x) <= tol
 
 
 def lp_vertices(lp: LinearProgram, tol: float = 1e-7) -> list[np.ndarray]:

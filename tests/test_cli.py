@@ -214,9 +214,9 @@ def test_pivot_budget_overrun_exit_codes(tmp_path, capsys):
     assert code == 3
     doc = json.loads(out)
     assert doc["status"] == "ambiguous" and "pivots" in doc["reason"]
-    # on S^5 the LP route fits, the constructive route's first hull
-    # separation LP (427 pivots) does not
-    path = write_instance(tmp_path, _orthogonal_caps_doc(5, 40), "pp.json")
+    # on S^20 the LP route fits, the constructive route's first hull
+    # separation LP (101 pivots) does not
+    path = write_instance(tmp_path, _orthogonal_caps_doc(20, 20), "pp.json")
     code, out, err = run_cli(capsys, "witness", path, "--method", "proof-path")
     assert code == 5
     assert out == ""

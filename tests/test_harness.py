@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import sphsep.convexity
+import sphsep.separation
 from sphsep.errors import GenerationFailed
 from sphsep.geometry import ToleranceConfig
 from sphsep.harness import (
@@ -12,7 +14,10 @@ from sphsep.harness import (
     generate,
     run_equivalence_campaign,
 )
+from sphsep.lp import LpStatus, solve
 from sphsep.separation import primal_intersect
+
+from .oracles import lp_residual
 
 
 def test_instance_spec_validation():
@@ -99,6 +104,32 @@ def test_campaign_proof_path_reproductions_have_no_failures(dims, sizes, seed):
     assert report.failures == []
     assert report.disagreements == 0
     assert all(v == report.disjoint for v in report.checks.values())
+
+
+@pytest.mark.parametrize(
+    "count, dims, sizes",
+    [(200, [5], list(range(1, 13))), (20, [8], list(range(12, 25)))],
+)
+def test_campaign_optimal_outcomes_are_feasible(monkeypatch, count, dims, sizes):
+    # every OPTIMAL outcome of every LP in the campaign, hull separations of
+    # 170-660 rows included, must satisfy the rows and bounds it was given;
+    # the S^5 campaign also holds the proof-path stall of
+    # seed=2951566633356712885
+    residuals = []
+
+    def spy(lp, *args, **kwargs):
+        out = solve(lp, *args, **kwargs)
+        if out.status is LpStatus.OPTIMAL:
+            residuals.append((lp_residual(lp, out.solution), len(lp.constraints)))
+        return out
+
+    monkeypatch.setattr(sphsep.separation, "solve", spy)
+    monkeypatch.setattr(sphsep.convexity, "solve", spy)
+    report = run_equivalence_campaign(count, dims, sizes, 3)
+    assert report.failures == []
+    bad = sorted(r for r in residuals if r[0] > 1e-9)
+    assert residuals
+    assert not bad, f"{len(bad)} of {len(residuals)} (residual, rows): {bad[-3:]}"
 
 
 def test_campaign_mode_cycle_produces_both_kinds():

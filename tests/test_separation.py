@@ -218,6 +218,10 @@ def test_proof_path_contraction_round_cap():
 _UNION_CASES = [((3.0, 0.0), (-3.0, 1.0), s) for s in (0.5, 0.1, 1e-3)] + [
     ((10.0, 0.0), (2.0, 0.0), 0.5),
     ((2.0, 0.0), (10.0, 0.0), 0.5),
+    # sigma = 1, the proof path's first separation: one LP with a and b free
+    ((3.0, 0.0), (-3.0, 1.0), 1.0),
+    ((10.0, 0.0), (2.0, 0.0), 1.0),
+    ((2.0, 0.0), (10.0, 0.0), 1.0),
 ]
 
 
