@@ -258,7 +258,7 @@ def _cmd_fuzz(args) -> int:
     report.wall_time_s = time.perf_counter() - start
     _emit(report.to_dict())
     sys.stderr.write(f"wall time: {report.wall_time_s:.2f}s\n")
-    return 1 if report.disagreements > 0 else 0
+    return 1 if report.disagreements > 0 or report.failures else 0
 
 
 def _slerp(u: np.ndarray, v: np.ndarray, count: int) -> list[list[float]]:

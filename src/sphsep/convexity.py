@@ -41,14 +41,25 @@ def _dedupe_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     """Drop rows that repeat an earlier kept row within tol (max-norm),
     keeping first occurrences in order.
 
-    Each row is compared with all earlier rows at once; it is dropped only
-    when one of the close earlier rows was itself kept, so a chain a~b~c
-    with |a - c| > tol keeps a and c.  Temporary memory is one (i, d) block.
+    A sorted sweep: rows are sorted by their first coordinate, and each row
+    is compared only with the earlier rows in its window of that order,
+    those whose first coordinate lies within tol of its own (the window is
+    widened by a few ulps, and the max-norm test decides).  A row alone in
+    its window is kept without a comparison.  A row is dropped only when a
+    close earlier row was itself kept, so a chain a~b~c with |a - c| > tol
+    keeps a and c.
     """
+    first = rows[:, 0]
+    order = np.argsort(first, kind="stable")
+    ranked = first[order]
+    reach = 2.0 * tol + 4.0 * np.finfo(float).eps * np.abs(first)
+    lo = np.searchsorted(ranked, first - reach, side="left")
+    hi = np.searchsorted(ranked, first + reach, side="right")
     keep = np.ones(rows.shape[0], dtype=bool)
-    for i in range(1, rows.shape[0]):
-        close = np.abs(rows[:i] - rows[i]).max(axis=1) <= tol
-        keep[i] = not (close & keep[:i]).any()
+    for i in np.flatnonzero(hi - lo > 1):
+        near = order[lo[i] : hi[i]]
+        near = near[(near < i) & keep[near]]
+        keep[i] = not (np.abs(rows[near] - rows[i]).max(axis=1) <= tol).any()
     return rows[keep]
 
 

@@ -6,10 +6,13 @@ leaves; after a run of degenerate pivots Bland's rule takes over until the
 objective moves again, which guards against cycling.  Self-contained and
 deterministic: a plain tableau implementation is exactly reproducible, and
 fast enough for the feasibility and pole queries of this package, which
-have at most a few hundred rows and columns.  The proof path's hull
-separations have one row per fattened vertex (2n per generator on S^n),
-thousands on large bodies, and there the dense tableau (one slack column
-per row) dominates time and memory.  No external solver is used anywhere.
+have at most a few hundred rows and columns.  The tableau keeps one slack
+column per row, so its size grows with the square of the row count; the
+proof path's hull separations, with one row per fattened vertex (2n per
+generator on S^n, thousands on large bodies), are never put into it whole
+but solved by row generation, a few dozen rows at a time (see
+separation._separating_hyperplane_contracted).  No external solver is
+used anywhere.
 """
 
 from __future__ import annotations
@@ -97,9 +100,12 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """Result of ``solve``; ``pivots`` counts the pivots it spent."""
+
     status: LpStatus
     solution: np.ndarray | None = None
     objective_value: float | None = None
+    pivots: int = 0
 
 
 def _standardize(lp: LinearProgram):
@@ -108,12 +114,14 @@ def _standardize(lp: LinearProgram):
     Variables with lower bound 0 pass through; positive lower bounds are
     shifted out; anything that can go negative is split into a nonnegative
     pair.  Finite bounds not absorbed by the rewrite become explicit rows.
-    Returns (c, A, code, rhs, S, shift) with x = S @ x_std + shift, where
-    code holds one relation per row of A as +1 (<=), 0 (=) or -1 (>=).
+    Returns (c, A, code, rhs, owner, sign, shift), where code holds one
+    relation per row of A as +1 (<=), 0 (=) or -1 (>=).
 
     Standard column k is original variable owner[k] times sign[k], so the
-    rows are mapped by a signed column gather: the same values as A0 @ S
-    without a matrix product.
+    rows are mapped by a signed column gather, and a standard-form solution
+    maps back by summing each variable's signed columns (x_j = sum over
+    owner[k] = j of sign[k] x_std[k], plus shift[j]); no dense variable map
+    is built.
     """
     nv = lp.num_vars
     owner: list[int] = []
@@ -139,9 +147,8 @@ def _standardize(lp: LinearProgram):
                 extra.append(({p: -1.0, m: 1.0}, -lo))
 
     ns = len(owner)
+    owner = np.array(owner, dtype=np.intp)
     sign = np.array(sign)
-    S = np.zeros((nv, ns))
-    S[owner, np.arange(ns)] = sign
 
     cons = lp.constraints
     A0 = np.array([row for row, _, _ in cons]).reshape(len(cons), nv)
@@ -156,7 +163,7 @@ def _standardize(lp: LinearProgram):
         rhs.append(b)
     A = np.vstack([A0[:, owner] * sign, E])
     code = np.array([_CODE[rel] for _, rel, _ in cons] + [1] * len(extra), dtype=np.intp)
-    return lp.objective[owner] * sign, A, code, np.array(rhs, dtype=float), S, shift
+    return lp.objective[owner] * sign, A, code, np.array(rhs, dtype=float), owner, sign, shift
 
 
 class _PivotBudget:
@@ -229,7 +236,7 @@ def solve(lp: LinearProgram, tol: float = 1e-10, max_pivots: int = 20_000) -> Lp
     phase-1 optimum exceeded ``tol``.  Identical inputs produce bit-identical
     outcomes.  Raises IterationLimit past ``max_pivots`` total pivots.
     """
-    c, A, code, rhs, S, shift = _standardize(lp)
+    c, A, code, rhs, owner, sign, shift = _standardize(lp)
     m, ns = A.shape
 
     # orient all rows to nonnegative rhs; >= rows with rhs 0 become <= rows
@@ -267,7 +274,7 @@ def solve(lp: LinearProgram, tol: float = 1e-10, max_pivots: int = 20_000) -> Lp
         if status != "optimal":
             raise IterationLimit("phase 1 reported unbounded; numerical breakdown")
         if T[-1, -1] < -tol:
-            return LpOutcome(status=LpStatus.INFEASIBLE)
+            return LpOutcome(status=LpStatus.INFEASIBLE, pivots=budget.used)
         # drive leftover artificials out of the basis on any structural or
         # slack column; a row with none left is redundant and dropped
         keep = np.ones(m + 1, dtype=bool)
@@ -295,13 +302,14 @@ def solve(lp: LinearProgram, tol: float = 1e-10, max_pivots: int = 20_000) -> Lp
         T[-1] += cb[i] * T[i]
     status = _run_simplex(T, basis, tol, budget)
     if status == "unbounded":
-        return LpOutcome(status=LpStatus.UNBOUNDED)
+        return LpOutcome(status=LpStatus.UNBOUNDED, pivots=budget.used)
 
     x_std = np.zeros(T.shape[1] - 1)
     x_std[basis] = T[:m, -1]
-    x = S @ x_std[:ns] + shift
+    x = np.bincount(owner, weights=sign * x_std[:ns], minlength=lp.num_vars) + shift
     return LpOutcome(
         status=LpStatus.OPTIMAL,
         solution=x,
         objective_value=float(lp.objective @ x),
+        pivots=budget.used,
     )

@@ -37,7 +37,9 @@ from .errors import (
     ContractionStalled,
     DimensionMismatch,
     EpsilonSearchFailed,
+    IterationLimit,
     NumericallyAmbiguous,
+    ZeroVector,
 )
 from .geometry import (
     DEFAULT_CONFIG,
@@ -259,8 +261,51 @@ def dual_witness(
     )
 
 
+# vertex rows a row-generation step may add to the working set, per body
+_ROWS_PER_STEP = 8
+
+
+class _HullRows:
+    """Vertex rows of the proof path's hull separations, built once, and the
+    working set of them that its LPs have needed so far.
+
+    Over the variables (P, a, b, t), body 1's vertex y gives the row
+    a - P . y <= 0 (a <= P . y) and body 2's vertex y the row
+    P . y - b <= 0 (b >= P . y).  The working set starts at one row per
+    body and only grows, so every LP of a proof path starts from the rows
+    that its earlier contraction rounds and sign regimes found binding.
+    """
+
+    def __init__(self, v1: np.ndarray, v2: np.ndarray):
+        m1, d = v1.shape
+        rows = np.zeros((m1 + v2.shape[0], d + 3))
+        rows[:m1, :d] = -v1
+        rows[:m1, d] = 1.0
+        rows[m1:, :d] = v2
+        rows[m1:, d + 1] = -1.0
+        self.rows = rows
+        self.bodies = (slice(0, m1), slice(m1, rows.shape[0]))
+        self.work = np.zeros(rows.shape[0], dtype=bool)
+        self.work[[0, m1]] = True
+
+    def add_violated(self, x: np.ndarray, tol: float) -> bool:
+        """Add to the working set the (up to) _ROWS_PER_STEP rows of each
+        body that x violates most, by more than tol; False when no row
+        outside the working set is violated."""
+        excess = self.rows @ x
+        excess[self.work] = -np.inf
+        added = False
+        for body in self.bodies:
+            part = excess[body]
+            worst = np.argsort(-part, kind="stable")[:_ROWS_PER_STEP]
+            worst = worst[part[worst] > tol]
+            self.work[body.start + worst] = True
+            added |= worst.size > 0
+        return added
+
+
 def _separating_hyperplane_contracted(
-    v1: np.ndarray, v2: np.ndarray, sigma: float, cfg: ToleranceConfig
+    hull: _HullRows, sigma: float, cfg: ToleranceConfig
 ) -> tuple[Hyperplane, float]:
     """Max-slack hyperplane between hull(v1 u sigma v1) and hull(v2 u sigma v2).
 
@@ -282,41 +327,39 @@ def _separating_hyperplane_contracted(
     slack) each become an LP whose vertex rows are all unit-scale and where
     sigma enters only as a coefficient on the a/b columns.  The best of the
     three equals the vertex-union optimum.  At sigma = 1 the mins are just
-    a and b, so one LP with a and b free covers all three regimes.  Returns
-    the hyperplane normalized to unit normal (offset and slack rescale with
-    it), plus the geometric slack.
+    a and b, so one LP with a and b free covers all three regimes.
+
+    For vertices in R^d the LPs have d + 3 variables but one row per vertex
+    of ``hull``, and at most d + 3 rows pin the optimum, so each regime is
+    solved by row generation (Kelley's cutting planes): solve over the
+    working set, check the solution against every vertex row with one
+    product, add the most violated rows and solve again, until no row is
+    violated by more than lp_tol.  The last solution is then an optimum of the full LP, feasible
+    within lp_tol like a direct solve.  The solves of one regime share its
+    pivot budget.  Returns the hyperplane normalized to unit normal (offset
+    and slack rescale with it), plus the geometric slack.
     """
-    d = v1.shape[1]
+    d = hull.rows.shape[1] - 3
     # variables: P_1..P_d, a, b, t
     ia, ib, it = d, d + 1, d + 2
     nv = d + 3
     obj = np.zeros(nv)
     obj[it] = 1.0
-
-    base_rows = []
-    for y in v1:
-        r0 = np.zeros(nv)
-        r0[:d] = -y
-        r0[ia] = 1.0
-        base_rows.append((r0, LE, 0.0))  # a <= P . y
-    for y in v2:
-        r0 = np.zeros(nv)
-        r0[:d] = y
-        r0[ib] = -1.0
-        base_rows.append((r0, LE, 0.0))  # b >= P . y
+    budget = 100 * cfg.max_iter
 
     def regime(ca: float, cb: float, a_sign: int, b_sign: int):
         """Solve one sign regime; alpha = ca * a, beta = cb * b there."""
-        cons = list(base_rows)
         gap = np.zeros(nv)
         gap[it], gap[ia], gap[ib] = 2.0, -ca, cb
-        cons.append((gap, LE, 0.0))  # 2t <= alpha - beta
         cap1 = np.zeros(nv)
         cap1[it], cap1[ia] = 1.0, -ca
-        cons.append((cap1, LE, 1.0))  # t <= alpha + 1   (r >= -1)
         cap2 = np.zeros(nv)
         cap2[it], cap2[ib] = 1.0, cb
-        cons.append((cap2, LE, 1.0))  # t <= 1 - beta    (r <= 1)
+        caps = [
+            (gap, LE, 0.0),  # 2t <= alpha - beta
+            (cap1, LE, 1.0),  # t <= alpha + 1   (r >= -1)
+            (cap2, LE, 1.0),  # t <= 1 - beta    (r <= 1)
+        ]
         lower = np.full(nv, -np.inf)
         upper = np.full(nv, np.inf)
         lower[:d] = -1.0
@@ -329,14 +372,24 @@ def _separating_hyperplane_contracted(
             lower[ib] = 0.0
         elif b_sign < 0:
             upper[ib] = 0.0
-        out = solve(
-            LinearProgram(objective=obj, constraints=cons, lower=lower, upper=upper),
-            tol=cfg.lp_tol,
-            max_pivots=100 * cfg.max_iter,
-        )
-        if out.status is not LpStatus.OPTIMAL:
-            return None
-        return out
+        left = budget
+        while True:
+            cons = [(row, LE, 0.0) for row in hull.rows[hull.work]] + caps
+            lp = LinearProgram(objective=obj, constraints=cons, lower=lower, upper=upper)
+            try:
+                out = solve(lp, tol=cfg.lp_tol, max_pivots=left)
+            except IterationLimit as exc:
+                raise IterationLimit(
+                    f"hull separation row generation, {budget - left} of {budget} "
+                    f"pivots spent before this solve: {exc}"
+                ) from exc
+            left -= out.pivots
+            # a relaxation with a row per body is bounded, so not optimal
+            # means infeasible, and so is the full LP
+            if out.status is not LpStatus.OPTIMAL:
+                return None
+            if not hull.add_violated(out.solution, cfg.lp_tol):
+                return out
 
     # regimes: (alpha coeff, beta coeff, sign of a, sign of b; 0 leaves it
     # free); the generic disjoint-cone case a > 0 > b comes first
@@ -423,8 +476,8 @@ def proof_path_witness(
     epsilon0 = eps
 
     # (3) separate the Euclidean hulls
-    v1_base, v2_base = x1.generators, x2.generators
-    hyp, _ = _separating_hyperplane_contracted(v1_base, v2_base, 1.0, cfg)
+    hull = _HullRows(x1.generators, x2.generators)
+    hyp, _ = _separating_hyperplane_contracted(hull, 1.0, cfg)
     trace = ProofTrace(epsilon0=epsilon0, hyperplane_sequence=[hyp])
 
     # (4) offset contraction; sigma accumulates the composed factors.  Any
@@ -441,7 +494,7 @@ def proof_path_witness(
         nonlocal sigma
         prev_sigma = sigma
         sigma = max(sigma * delta_eff, sigma_floor)
-        new_hyp, _ = _separating_hyperplane_contracted(v1_base, v2_base, sigma, cfg)
+        new_hyp, _ = _separating_hyperplane_contracted(hull, sigma, cfg)
         prev = abs(trace.hyperplane_sequence[-1].offset)
         if abs(new_hyp.offset) >= prev * (1.0 - cfg.lp_tol):
             raise ContractionStalled(
@@ -495,6 +548,12 @@ def wedge_openness_probe(
     input bodies the wedge is open, which this realizes quantitatively: all
     perturbed margins must stay positive (>= margin/2 by Lipschitzness of
     dot products).  k = 0 returns +inf (vacuous).
+
+    The k directions come from one (k, d) standard-normal draw, the same
+    stream as k draws of d, and all samples are projected, normalized and
+    measured against both bodies by matrix products.  A direction whose
+    tangent part has norm at or below unit_tol raises ZeroVector, as
+    normalize would.
     """
     if k <= 0:
         return np.inf
@@ -507,11 +566,14 @@ def wedge_openness_probe(
             "openness probe requires a wedge member with positive margin"
         )
     theta = base.margin / 2.0
-    worst = np.inf
-    for _ in range(k):
-        raw = rng.standard_normal(pv.size)
-        raw -= (raw @ pv) * pv
-        tangent = normalize(raw, cfg)
-        perturbed = np.cos(theta) * pv + np.sin(theta) * tangent
-        worst = min(worst, wedge_membership(b1, b2, perturbed, cfg).margin)
-    return worst
+    raw = rng.standard_normal((k, pv.size))
+    raw -= np.outer(raw @ pv, pv)
+    norms = np.linalg.norm(raw, axis=1)
+    if norms.min() <= cfg.unit_tol:
+        raise ZeroVector(f"cannot normalize vector with norm {norms.min():.3e}")
+    perturbed = np.cos(theta) * pv + np.sin(theta) * (raw / norms[:, None])
+    margins = np.minimum(
+        (perturbed @ b1.generators.T).min(axis=1),
+        -(perturbed @ b2.generators.T).max(axis=1),
+    )
+    return float(margins.min())

@@ -1,9 +1,11 @@
 """Independent cross-checks for the test suite.
 
 Everything here deliberately avoids the library's simplex code path:
-optima come from exhaustive vertex enumeration with dense linear algebra,
-hull membership from Caratheodory subset enumeration, and duplicate rows
-from a pairwise loop.  Slow but obviously correct at test scale.
+optima come from exhaustive vertex enumeration with dense linear algebra
+or, where that is out of reach, from an LP duality certificate checked by
+nonnegative least squares; hull membership from Caratheodory subset
+enumeration, duplicate rows from a pairwise loop, and openness-probe
+margins from a per-sample loop.  Slow but obviously correct at test scale.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import itertools
 
 import numpy as np
 
-from sphsep.lp import GE, LE, LinearProgram
+from sphsep.geometry import DEFAULT_CONFIG, normalize
+from sphsep.lp import EQ, GE, LE, LinearProgram
+from sphsep.separation import wedge_membership
 
 
 def lp_residual(lp: LinearProgram, x: np.ndarray) -> float:
@@ -73,6 +77,57 @@ def lp_oracle(lp: LinearProgram, tol: float = 1e-7):
     if not verts:
         return "infeasible", None
     return "optimal", max(float(lp.objective @ v) for v in verts)
+
+
+def nnls_residual(A: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> float:
+    """min over y >= 0 of |A y - b|, by Lawson and Hanson's active-set
+    method (each step is a dense least-squares solve on the passive set)."""
+    n = A.shape[1]
+    passive = np.zeros(n, dtype=bool)
+    y = np.zeros(n)
+    for _ in range(3 * n + 10):
+        grad = A.T @ (b - A @ y)
+        grad[passive] = -np.inf
+        if passive.all() or grad.max() <= tol:
+            break
+        passive[grad.argmax()] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            if np.all(z[passive] > 0.0):
+                y = z
+                break
+            # step from y toward z until the first passive entry reaches 0
+            shrink = passive & (z <= 0.0)
+            alpha = np.min(y[shrink] / np.maximum(y[shrink] - z[shrink], 1e-300))
+            y = y + alpha * (z - y)
+            passive &= y > tol
+            y[~passive] = 0.0
+    return float(np.linalg.norm(A @ y - b))
+
+
+def lp_optimal_at(lp: LinearProgram, x: np.ndarray, tol: float = 1e-9) -> bool:
+    """Is x an optimum of lp?  By LP duality it is exactly when x is
+    feasible and the objective is a nonnegative combination of the outward
+    normals of the rows and bounds active at x; that cone membership is
+    decided by nonnegative least squares, so the check scales to programs
+    far too large for vertex enumeration."""
+    if not lp_feasible(lp, x, tol):
+        return False
+    normals = []
+    for row, rel, b in lp.constraints:
+        v = float(row @ x) - b
+        if rel in (LE, EQ) and v >= -tol:
+            normals.append(row)
+        if rel in (GE, EQ) and v <= tol:
+            normals.append(-row)
+    eye = np.eye(lp.num_vars)
+    normals += [eye[j] for j in np.flatnonzero(x >= lp.upper - tol)]
+    normals += [-eye[j] for j in np.flatnonzero(x <= lp.lower + tol)]
+    if not normals:
+        return not np.any(lp.objective)
+    scale = max(1.0, float(np.linalg.norm(lp.objective)))
+    return nnls_residual(np.array(normals).T, lp.objective) <= tol * scale
 
 
 def cone_member_oracle(generators: np.ndarray, q: np.ndarray, tol: float = 1e-9) -> bool:
@@ -137,3 +192,22 @@ def dedupe_rows_oracle(rows: np.ndarray, tol: float) -> np.ndarray:
         if all(np.max(np.abs(rows[i] - rows[k])) > tol for k in keep):
             keep.append(i)
     return rows[keep]
+
+
+def openness_probe_oracle(b1, b2, p, k: int, cfg=DEFAULT_CONFIG, rng=None) -> float:
+    """wedge_openness_probe one sample at a time: k draws of a tangent
+    direction, each normalized and measured with wedge_membership."""
+    if k <= 0:
+        return np.inf
+    if rng is None:
+        rng = np.random.default_rng(0)
+    pv = normalize(np.asarray(p, dtype=float), cfg)
+    theta = wedge_membership(b1, b2, pv, cfg).margin / 2.0
+    worst = np.inf
+    for _ in range(k):
+        raw = rng.standard_normal(pv.size)
+        raw -= (raw @ pv) * pv
+        tangent = normalize(raw, cfg)
+        perturbed = np.cos(theta) * pv + np.sin(theta) * tangent
+        worst = min(worst, wedge_membership(b1, b2, perturbed, cfg).margin)
+    return worst

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,18 +210,26 @@ def _orthogonal_caps_doc(n, k):
 def test_pivot_budget_overrun_exit_codes(tmp_path, capsys):
     # on S^40 the hemisphericity LPs (97 pivots at most) fit, the dual pole
     # LP (112) does not
-    path = write_instance(tmp_path, _orthogonal_caps_doc(40, 80), "lp.json")
+    path = write_instance(tmp_path, _orthogonal_caps_doc(40, 80), "caps.json")
     code, out, _ = run_cli(capsys, "witness", path, "--method", "lp")
     assert code == 3
     doc = json.loads(out)
     assert doc["status"] == "ambiguous" and "pivots" in doc["reason"]
-    # on S^20 the LP route fits, the constructive route's first hull
-    # separation LP (101 pivots) does not
-    path = write_instance(tmp_path, _orthogonal_caps_doc(20, 20), "pp.json")
-    code, out, err = run_cli(capsys, "witness", path, "--method", "proof-path")
+    # the constructive route's hemisphericity LPs fit too, and so does its
+    # cone LP over 6400+6400 fattened generators; the row-generated solves
+    # of its first hull separation overrun their shared budget at pivot 101.
+    # The run must stay small: a dense variable map of the cone LP or a
+    # dense tableau of the 12 803-row hull separation would take gigabytes.
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "witness", path, "--method", "proof-path")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 5
     assert out == ""
     assert "constructive witness route failed" in err and "pivots" in err
+    assert peak < 200e6
 
 
 def test_band_edge_hemisphericity_is_ambiguous(tmp_path, capsys):
@@ -280,6 +289,17 @@ def test_fuzz_disagreement_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "fuzz", "--count", "1")
     assert code == 1
     assert json.loads(out)["disagreements"] == 1
+
+
+def test_fuzz_deep_check_failure_exit_code(capsys, monkeypatch):
+    # a deep-check failure is no disagreement, yet it must not exit 0: here
+    # every openness probe of a real campaign is made to hit margin -1
+    monkeypatch.setattr("sphsep.harness.wedge_openness_probe", lambda *a, **k: -1.0)
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "8", "--dims", "2", "--seed", "1")
+    doc = json.loads(out)
+    assert doc["disagreements"] == 0 and doc["disjoint"] > 0
+    assert doc["failures"] and all("openness probe" in f for f in doc["failures"])
+    assert code == 1
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,35 @@ def test_dedupe_rows_property_planted_near_duplicates(seed):
     assert np.array_equal(_dedupe_rows(rows, TOL), dedupe_rows_oracle(rows, TOL))
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_dedupe_rows_crowded_first_coordinate(seed):
+    # every row shares coordinate 0 exactly, so the sweep's window of each
+    # row holds all earlier rows; near copies and chains in the other
+    # coordinates decide
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((int(rng.integers(2, 12)), 3))
+    for _ in range(int(rng.integers(5, 30))):
+        src = rows[int(rng.integers(rows.shape[0]))]
+        near = src + rng.uniform(-2.0, 2.0, 3) * TOL
+        rows = np.insert(rows, int(rng.integers(rows.shape[0] + 1)), near, axis=0)
+    rows[:, 0] = 0.25
+    assert np.array_equal(_dedupe_rows(rows, TOL), dedupe_rows_oracle(rows, TOL))
+
+
+@pytest.mark.parametrize("start", [0.0, -1.0, 1e3])
+@pytest.mark.parametrize("seed", range(4))
+def test_dedupe_rows_chains_across_window_edges(start, seed):
+    # chains along coordinate 0 with links of 0.5 to 1.5 tol, shuffled so
+    # that a row's close earlier rows sit on both sides of it and at the
+    # edges of its window; at 1e3 a tol is only a few ulps
+    rng = np.random.default_rng(seed)
+    steps = rng.choice([0.5, 0.7, 1.0, 1.2, 1.5], size=24) * TOL
+    x0 = start + np.cumsum(steps)
+    rows = np.column_stack([x0, rng.choice([0.0, 0.5 * TOL, 2.0 * TOL], size=24)])
+    rows = rows[rng.permutation(24)]
+    assert np.array_equal(_dedupe_rows(rows, TOL), dedupe_rows_oracle(rows, TOL))
+
+
 def test_from_points_normalizes():
     body = SphericalBody.from_points(np.array([[3.0, 0.0], [0.0, 0.5]]))
     assert np.allclose(body.generators, np.eye(2))

@@ -111,8 +111,8 @@ def test_campaign_proof_path_reproductions_have_no_failures(dims, sizes, seed):
     [(200, [5], list(range(1, 13))), (20, [8], list(range(12, 25)))],
 )
 def test_campaign_optimal_outcomes_are_feasible(monkeypatch, count, dims, sizes):
-    # every OPTIMAL outcome of every LP in the campaign, hull separations of
-    # 170-660 rows included, must satisfy the rows and bounds it was given;
+    # every OPTIMAL outcome of every LP in the campaign, the row-generated
+    # hull separations included, must satisfy the rows and bounds it was given;
     # the S^5 campaign also holds the proof-path stall of
     # seed=2951566633356712885
     residuals = []

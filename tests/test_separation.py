@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphsep.separation
 from sphsep.convexity import SphericalBody, _pole_lp
 from sphsep.errors import (
     ContractionStalled,
@@ -10,11 +11,14 @@ from sphsep.errors import (
     EpsilonSearchFailed,
     NotHemispherical,
     NumericallyAmbiguous,
+    ZeroVector,
 )
 from sphsep.geometry import ToleranceConfig, normalize
 from sphsep.harness import InstanceSpec, Mode, generate
+from sphsep.lp import LE, LinearProgram, LpStatus, solve
 from sphsep.separation import (
     Hyperplane,
+    _HullRows,
     _separating_hyperplane_contracted,
     dual_witness,
     primal_intersect,
@@ -23,7 +27,13 @@ from sphsep.separation import (
     wedge_openness_probe,
 )
 
-from .oracles import cone_member_oracle, lp_oracle, separates
+from .oracles import (
+    cone_member_oracle,
+    lp_optimal_at,
+    lp_oracle,
+    openness_probe_oracle,
+    separates,
+)
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -236,7 +246,7 @@ def test_contracted_separation_matches_materialized_union(seed, c1, c2, sigma):
     v2 = np.array(c2) + 0.5 * rng.standard_normal((3, 2))
     u1, u2 = np.vstack([v1, sigma * v1]), np.vstack([v2, sigma * v2])
 
-    hyp, slack = _separating_hyperplane_contracted(v1, v2, sigma, ToleranceConfig())
+    hyp, slack = _separating_hyperplane_contracted(_HullRows(v1, v2), sigma, ToleranceConfig())
     assert np.min(u1 @ hyp.normal) - hyp.offset >= slack - 1e-9
     assert hyp.offset - np.max(u2 @ hyp.normal) >= slack - 1e-9
 
@@ -250,6 +260,99 @@ def test_contracted_separation_matches_materialized_union(seed, c1, c2, sigma):
     # hyperplane back into it recovers the box-scale slack
     box = max(np.max(np.abs(hyp.normal)), abs(hyp.offset))
     assert slack / box == pytest.approx(best, rel=1e-6, abs=1e-12)
+
+
+def _proof_path_vertices(monkeypatch, n, m):
+    """The fattened vertex sets the proof path separates on the
+    force-disjoint S^n instance with m + m generators (seed 11)."""
+    seen = []
+
+    class Recording(_HullRows):
+        def __init__(self, v1, v2):
+            super().__init__(v1, v2)
+            seen.append((v1, v2))
+
+    monkeypatch.setattr(sphsep.separation, "_HullRows", Recording)
+    b1, b2 = generate(InstanceSpec(dimension=n, k1=m, k2=m, seed=11, mode=Mode.FORCE_DISJOINT))
+    proof_path_witness(b1, b2)
+    return seen[0]
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_row_generation_reaches_full_lp_optimum(monkeypatch, n):
+    # On the S^5 and S^8 24+24 proof paths (240+240 and 384+384 fattened
+    # vertex rows) each sign-regime LP, solved over a working set carried
+    # across sigma, must end at an optimum of the regime LP with every
+    # vertex row, and the best regime at the max-slack separation of the
+    # materialized unions v u sigma v.  Vertex enumeration cannot reach
+    # programs this size, so optimality is certified by LP duality.
+    with monkeypatch.context() as mp:
+        v1, v2 = _proof_path_vertices(mp, n, 24)
+    assert v1.shape[0] == v2.shape[0] == 24 * 2 * n
+    cfg = ToleranceConfig()
+    hull = _HullRows(v1, v2)
+    for sigma in (1.0, 1e-2, 1e-5):
+        finals = []
+
+        def spy(lp, *args, **kwargs):
+            out = solve(lp, *args, **kwargs)
+            if out.status is LpStatus.OPTIMAL and np.max(hull.rows @ out.solution) <= cfg.lp_tol:
+                finals.append((lp, out.solution))  # the last solve of a regime
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sphsep.separation, "solve", spy)
+            hyp, slack = _separating_hyperplane_contracted(hull, sigma, cfg)
+        assert len(finals) == (1 if sigma == 1.0 else 3)
+        for lp, x in finals:
+            every_row = [(row, LE, 0.0) for row in hull.rows] + lp.constraints[-3:]
+            full = LinearProgram(lp.objective, every_row, lp.lower, lp.upper)
+            assert lp_optimal_at(full, x), sigma
+
+        u1, u2 = np.vstack([v1, sigma * v1]), np.vstack([v2, sigma * v2])
+        ones = -np.ones((u1.shape[0], 1))
+        union = _pole_lp(np.vstack([np.hstack([u1, ones]), -np.hstack([u2, ones])]))
+        union.lower[-1], union.upper[-1] = -10.0, 10.0
+        box = max(np.max(np.abs(hyp.normal)), abs(hyp.offset))
+        x = np.concatenate([hyp.normal, [hyp.offset, slack]]) / box
+        assert lp_optimal_at(union, x), sigma
+
+
+def test_hull_solves_see_a_few_dozen_rows(monkeypatch):
+    # the S^8 24+24 proof path separates 384+384 fattened vertices, yet no
+    # LP it solves has more than a few dozen rows
+    rows = []
+
+    def spy(lp, *args, **kwargs):
+        rows.append(len(lp.constraints))
+        return solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(sphsep.separation, "solve", spy)
+    b1, b2 = generate(InstanceSpec(dimension=8, k1=24, k2=24, seed=11, mode=Mode.FORCE_DISJOINT))
+    cert, trace = proof_path_witness(b1, b2)
+    assert cert.margin > 0 and trace.iterations >= 1
+    assert len(rows) > 3 * trace.iterations
+    assert max(rows) <= 48, rows
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_openness_probe_matches_per_sample_loop(seed):
+    b1, b2 = disjoint_pair(seed=seed, dim=1 + seed, k1=4, k2=5)
+    w = dual_witness(b1, b2).witness
+    got = wedge_openness_probe(b1, b2, w, 50, rng=np.random.default_rng(seed))
+    want = openness_probe_oracle(b1, b2, w, 50, rng=np.random.default_rng(seed))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_openness_probe_zero_tangent_raises():
+    # on S^1 a draw's tangent part is one N(0, 1) coordinate, below the
+    # unit_tol of 0.5 for about 38% of draws, so 50 draws meet one
+    b1 = SphericalBody(np.array([[1.0, 0.0]]))
+    b2 = SphericalBody(np.array([[-1.0, 0.0]]))
+    cfg = ToleranceConfig(unit_tol=0.5)
+    for probe in (wedge_openness_probe, openness_probe_oracle):
+        with pytest.raises(ZeroVector):
+            probe(b1, b2, [1.0, 0.0], 50, cfg, rng=np.random.default_rng(3))
 
 
 def test_openness_probe_zero_samples_vacuous():
