@@ -10,8 +10,9 @@ runs from that side's root, for the ``run_seconds`` of BENCHMARK.json.  The
 output keeps ``BENCH_4.json``'s layout:
 
   runs   -- the last-line JSON of one ``--trace 0`` run of every workload and
-            one ``--trace 1`` run of ``campaign`` (key ``campaign_trace``),
-            all at --runs-seed, on each side;
+            one ``--trace 1`` run of ``campaign`` and of ``oracles`` (keys
+            ``campaign_trace``, ``oracles_trace``), all at --runs-seed, on
+            each side;
   pairs  -- for every workload and seed of --pairs, one ``--trace 0`` run of
             each side, parent first on odd seeds and change first on even
             ones, flattened to the end-to-end metrics, ``failed`` and
@@ -34,6 +35,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("campaign", "oracles", "cli")
+# workloads that also get one --trace 1 run: campaign's LPs are the proof
+# path's, oracles' the dual and cone routes'
+TRACED = ("campaign", "oracles")
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
@@ -109,9 +113,9 @@ def main() -> int:
 
     doc = {"about": "Last-line JSON of perfbench/run.py on the parent commit and on the "
                     "change. 'runs' holds --trace 0 for each workload and --trace 1 for "
-                    "campaign, all at --seed %s; 'pairs' holds every further --trace 0 run, "
-                    "made in alternating parent/change order (odd seeds parent first)."
-                    % args.runs_seed,
+                    "campaign and oracles, all at --seed %s; 'pairs' holds every further "
+                    "--trace 0 run, made in alternating parent/change order (odd seeds "
+                    "parent first)." % args.runs_seed,
            "command": f"python3 perfbench/run.py --workload W --seed N "
                       f"--seconds {SECONDS} --trace T",
            "machine": machine(),
@@ -126,7 +130,7 @@ def main() -> int:
             return run(roots[side], workload, seed, trace)
 
         for side in ("parent", "change"):
-            for workload, trace in [(w, 0) for w in WORKLOADS] + [("campaign", 1)]:
+            for workload, trace in [(w, 0) for w in WORKLOADS] + [(w, 1) for w in TRACED]:
                 key = workload + ("_trace" if trace else "")
                 doc["runs"][side][key] = step(side, workload, args.runs_seed, trace)
         for workload, seeds in args.pairs:

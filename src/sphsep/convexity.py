@@ -146,10 +146,11 @@ def _pole_lp(rows: np.ndarray) -> LinearProgram:
     m, k = rows.shape
     obj = np.zeros(k + 1)
     obj[-1] = 1.0
-    tableau = np.hstack([rows, -np.ones((m, 1))])
     return LinearProgram(
         objective=obj,
-        constraints=[(row, GE, 0.0) for row in tableau],
+        constraints=np.hstack([rows, -np.ones((m, 1))]),
+        relations=GE,
+        rhs=np.zeros(m),
         lower=np.concatenate([-np.ones(k), [-np.inf]]),
         upper=np.concatenate([np.ones(k), [np.inf]]),
     )

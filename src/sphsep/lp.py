@@ -6,11 +6,13 @@ leaves; after a run of degenerate pivots Bland's rule takes over until the
 objective moves again, which guards against cycling.  Self-contained and
 deterministic: a plain tableau implementation is exactly reproducible, and
 fast enough for the feasibility and pole queries of this package, which
-have at most a few hundred rows and columns.  The tableau keeps one slack
-column per row, so its size grows with the square of the row count; the
-proof path's hull separations, with one row per fattened vertex (2n per
-generator on S^n, thousands on large bodies), are never put into it whole
-but solved by row generation, a few dozen rows at a time (see
+have at most a few hundred rows and columns.  A program is handed over as
+one coefficient matrix with a relation and a right-hand side per row, so
+neither building nor standardizing it loops over rows.  The tableau keeps
+one slack column per row, so its size grows with the square of the row
+count; the proof path's hull separations, with one row per fattened vertex
+(2n per generator on S^n, thousands on large bodies), are never put into
+it whole but solved by row generation, a few dozen rows at a time (see
 separation._separating_hyperplane_contracted).  No external solver is
 used anywhere.
 """
@@ -18,6 +20,7 @@ used anywhere.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,7 +41,6 @@ __all__ = [
 LE = "<="
 EQ = "="
 GE = ">="
-_RELATIONS = (LE, EQ, GE)
 # relation codes of the standard-form rows; negating a row negates its code
 _CODE = {LE: 1, EQ: 0, GE: -1}
 
@@ -53,32 +55,56 @@ class LpStatus(Enum):
 class LinearProgram:
     """maximize objective . x  subject to row constraints and variable bounds.
 
-    constraints: list of (coefficients, relation, rhs) with relation one of
-    "<=", "=", ">=".  Bounds default to the classic 0 <= x < +inf; pass
-    -inf/+inf entries for free or one-sided variables.
+    constraints: an (m, n) coefficient matrix, one row per constraint
+    (default: no rows).  relations: one of "<=", "=", ">=" for every row,
+    or a single relation for all of them (default "<=").  rhs: the m
+    right-hand sides (default all 0).  So row i reads
+    constraints[i] . x  relations[i]  rhs[i], and ``len(constraints)`` is
+    the row count.  Bounds default to the classic 0 <= x < +inf; pass
+    -inf/+inf entries for free or one-sided variables.  After construction
+    ``relations`` holds one relation per row and ``code`` its standard-form
+    code, +1 (<=), 0 (=) or -1 (>=).
     """
 
     objective: np.ndarray
-    constraints: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
+    constraints: np.ndarray | None = None
+    relations: str | Sequence[str] = LE
+    rhs: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    code: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.ndim != 1 or self.objective.size == 0:
             raise DimensionMismatch("objective must be a nonempty vector")
         nv = self.objective.size
-        canon = []
-        for i, (row, rel, rhs) in enumerate(self.constraints):
-            row = np.asarray(row, dtype=float)
-            if row.shape != (nv,):
-                raise DimensionMismatch(
-                    f"constraint {i} has {row.size} coefficients, expected {nv}"
-                )
-            if rel not in _RELATIONS:
-                raise DimensionMismatch(f"constraint {i} has unknown relation {rel!r}")
-            canon.append((row, rel, float(rhs)))
-        self.constraints = canon
+        A = np.zeros((0, nv)) if self.constraints is None else np.asarray(
+            self.constraints, dtype=float
+        )
+        if A.ndim != 2 or A.shape[1] != nv:
+            raise DimensionMismatch(
+                f"constraint matrix has shape {A.shape}, expected (m, {nv})"
+            )
+        m = A.shape[0]
+        self.constraints = A
+        rel = np.asarray(self.relations)
+        if rel.ndim == 0:
+            rel = np.broadcast_to(rel, (m,))
+        if rel.shape != (m,):
+            raise DimensionMismatch(f"{rel.size} relations for {m} constraint rows")
+        code = np.full(m, 2, dtype=np.intp)
+        for name, c in _CODE.items():
+            code[rel == name] = c
+        if (code == 2).any():
+            bad = rel[(code == 2).argmax()]
+            raise DimensionMismatch(f"unknown relation {bad!r}")
+        self.relations, self.code = rel, code
+        self.rhs = np.zeros(m) if self.rhs is None else np.asarray(self.rhs, dtype=float)
+        if self.rhs.shape != (m,):
+            raise DimensionMismatch(
+                f"rhs has shape {self.rhs.shape}, expected ({m},)"
+            )
         self.lower = (
             np.zeros(nv) if self.lower is None else np.asarray(self.lower, dtype=float)
         )
@@ -150,20 +176,17 @@ def _standardize(lp: LinearProgram):
     owner = np.array(owner, dtype=np.intp)
     sign = np.array(sign)
 
-    cons = lp.constraints
-    A0 = np.array([row for row, _, _ in cons]).reshape(len(cons), nv)
-    if shift.any():  # some positive lower bound was shifted out
-        rhs = [b - float(row @ shift) for row, _, b in cons]
-    else:
-        rhs = [b for _, _, b in cons]
+    A0 = lp.constraints
+    # np.vecdot takes each row's dot the way row @ shift does, bit for bit
+    rhs0 = lp.rhs - np.vecdot(A0, shift) if shift.any() else lp.rhs
     E = np.zeros((len(extra), ns))
-    for i, (sparse, b) in enumerate(extra):
+    for i, (sparse, _) in enumerate(extra):
         for k, v in sparse.items():
             E[i, k] = v
-        rhs.append(b)
     A = np.vstack([A0[:, owner] * sign, E])
-    code = np.array([_CODE[rel] for _, rel, _ in cons] + [1] * len(extra), dtype=np.intp)
-    return lp.objective[owner] * sign, A, code, np.array(rhs, dtype=float), owner, sign, shift
+    code = np.concatenate([lp.code, np.ones(len(extra), dtype=np.intp)])
+    rhs = np.concatenate([rhs0, [b for _, b in extra]])
+    return lp.objective[owner] * sign, A, code, rhs, owner, sign, shift
 
 
 class _PivotBudget:

@@ -173,13 +173,14 @@ def primal_intersect(
     m1, m2 = g1.shape[0], g2.shape[0]
     d = g1.shape[1]
 
-    obj = np.zeros(m1 + m2)
-    cons = []
-    for i in range(d):
-        cons.append((np.concatenate([g1[:, i], -g2[:, i]]), EQ, 0.0))
-    cons.append((np.concatenate([g1 @ p1, np.zeros(m2)]), EQ, 1.0))
+    A = np.zeros((d + 1, m1 + m2))
+    A[:d, :m1] = g1.T
+    A[:d, m1:] = -g2.T
+    A[d, :m1] = g1 @ p1
+    rhs = np.zeros(d + 1)
+    rhs[d] = 1.0
     out = solve(
-        LinearProgram(objective=obj, constraints=cons),
+        LinearProgram(objective=np.zeros(m1 + m2), constraints=A, relations=EQ, rhs=rhs),
         tol=cfg.lp_tol,
         max_pivots=100 * cfg.max_iter,
     )
@@ -221,20 +222,20 @@ def dual_witness(
 ) -> SeparationCertificate:
     """Margin-maximizing pole, or an intersection certificate.
 
-    Solves the pole LP on the rows (Q, -R): maximize t subject to
+    The pole LP comes first, on the rows (Q, -R): maximize t subject to
     P . Q_j >= t, P . R_k <= -t, |P_m| <= 1, t free.  The pole is
     renormalized to the sphere (sign conditions survive), and disjointness
-    is certified when its unit-scale margin exceeds margin_tol.  Otherwise
-    the primal oracle is consulted: a feasible intersection yields the
-    intersecting certificate, while primal disjointness together with a
-    marginal optimum is reported as NumericallyAmbiguous -- the strict
-    inequalities are undecidable at this tolerance.
+    is certified when its unit-scale margin exceeds margin_tol.  That pole
+    is the whole certificate: it also shows both bodies hemispherical (P for
+    body 1, -P for body 2), so no hemisphericity LP is solved.  Only when it
+    does not certify are the hemisphericity witnesses found (unless passed
+    as w1/w2; NotHemispherical propagates) and the primal oracle consulted:
+    a feasible intersection yields the intersecting certificate, while
+    primal disjointness together with a marginal optimum is reported as
+    NumericallyAmbiguous -- the strict inequalities are undecidable at this
+    tolerance.
     """
     _require_same_dimension(b1, b2)
-    if w1 is None:
-        w1 = hemisphericity_witness(b1, cfg)
-    if w2 is None:
-        w2 = hemisphericity_witness(b2, cfg)
     g1, g2 = b1.generators, b2.generators
     out = solve(
         _pole_lp(np.vstack([g1, -g2])),
@@ -247,6 +248,7 @@ def dual_witness(
         t = float(min(np.min(g1 @ witness), -np.max(g2 @ witness)))
         if t > cfg.margin_tol:
             return SeparationCertificate(kind="disjoint", witness=witness, margin=t)
+    # primal_intersect finds whichever hemisphericity witness was not passed
     inter = primal_intersect(b1, b2, cfg, w1=w1, w2=w2)
     if inter is not None:
         return SeparationCertificate(
@@ -349,17 +351,11 @@ def _separating_hyperplane_contracted(
 
     def regime(ca: float, cb: float, a_sign: int, b_sign: int):
         """Solve one sign regime; alpha = ca * a, beta = cb * b there."""
-        gap = np.zeros(nv)
-        gap[it], gap[ia], gap[ib] = 2.0, -ca, cb
-        cap1 = np.zeros(nv)
-        cap1[it], cap1[ia] = 1.0, -ca
-        cap2 = np.zeros(nv)
-        cap2[it], cap2[ib] = 1.0, cb
-        caps = [
-            (gap, LE, 0.0),  # 2t <= alpha - beta
-            (cap1, LE, 1.0),  # t <= alpha + 1   (r >= -1)
-            (cap2, LE, 1.0),  # t <= 1 - beta    (r <= 1)
-        ]
+        caps = np.zeros((3, nv))
+        caps[0, [it, ia, ib]] = 2.0, -ca, cb  # 2t <= alpha - beta
+        caps[1, [it, ia]] = 1.0, -ca  # t <= alpha + 1   (r >= -1)
+        caps[2, [it, ib]] = 1.0, cb  # t <= 1 - beta    (r <= 1)
+        caps_rhs = np.array([0.0, 1.0, 1.0])
         lower = np.full(nv, -np.inf)
         upper = np.full(nv, np.inf)
         lower[:d] = -1.0
@@ -374,8 +370,9 @@ def _separating_hyperplane_contracted(
             upper[ib] = 0.0
         left = budget
         while True:
-            cons = [(row, LE, 0.0) for row in hull.rows[hull.work]] + caps
-            lp = LinearProgram(objective=obj, constraints=cons, lower=lower, upper=upper)
+            rows = np.vstack([hull.rows[hull.work], caps])
+            rhs = np.concatenate([np.zeros(rows.shape[0] - 3), caps_rhs])
+            lp = LinearProgram(obj, rows, LE, rhs, lower=lower, upper=upper)
             try:
                 out = solve(lp, tol=cfg.lp_tol, max_pivots=left)
             except IterationLimit as exc:

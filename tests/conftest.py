@@ -64,3 +64,22 @@ def equivalence_campaign():
         "wall_s": wall,
         "exit": proc.returncode,
     }
+
+
+@pytest.fixture
+def solve_sites(monkeypatch):
+    """The calling function of every lp.solve call made while the test
+    runs, in order (solve as imported by convexity and separation)."""
+    import sphsep.convexity
+    import sphsep.separation
+    from sphsep.lp import solve
+
+    sites: list[str] = []
+
+    def spy(lp, *args, **kwargs):
+        sites.append(sys._getframe(1).f_code.co_name)
+        return solve(lp, *args, **kwargs)
+
+    for module in (sphsep.convexity, sphsep.separation):
+        monkeypatch.setattr(module, "solve", spy)
+    return sites

@@ -6,6 +6,9 @@ or, where that is out of reach, from an LP duality certificate checked by
 nonnegative least squares; hull membership from Caratheodory subset
 enumeration, duplicate rows from a pairwise loop, and openness-probe
 margins from a per-sample loop.  Slow but obviously correct at test scale.
+The one exception is dual_witness_oracle: it keeps the earlier order of
+dual_witness (both hemisphericity LPs before the pole LP) on the same
+solver, as the reference the certificate-first order must reproduce.
 """
 
 from __future__ import annotations
@@ -14,15 +17,17 @@ import itertools
 
 import numpy as np
 
+from sphsep.convexity import _pole_lp, hemisphericity_witness
+from sphsep.errors import DimensionMismatch, NumericallyAmbiguous
 from sphsep.geometry import DEFAULT_CONFIG, normalize
-from sphsep.lp import EQ, GE, LE, LinearProgram
-from sphsep.separation import wedge_membership
+from sphsep.lp import EQ, GE, LE, LinearProgram, LpStatus, solve
+from sphsep.separation import SeparationCertificate, primal_intersect, wedge_membership
 
 
 def lp_residual(lp: LinearProgram, x: np.ndarray) -> float:
     """Worst violation by x of a row constraint or bound of lp (0 if none)."""
     worst = max(0.0, float(np.max(lp.lower - x)), float(np.max(x - lp.upper)))
-    for row, rel, b in lp.constraints:
+    for row, rel, b in zip(lp.constraints, lp.relations, lp.rhs):
         v = float(row @ x) - b
         worst = max(worst, v if rel == LE else -v if rel == GE else abs(v))
     return worst
@@ -42,7 +47,7 @@ def lp_vertices(lp: LinearProgram, tol: float = 1e-7) -> list[np.ndarray]:
     """
     nv = lp.num_vars
     planes: list[tuple[np.ndarray, float]] = [
-        (np.asarray(row, dtype=float), float(b)) for row, _, b in lp.constraints
+        (row, float(b)) for row, b in zip(lp.constraints, lp.rhs)
     ]
     for j in range(nv):
         e = np.zeros(nv)
@@ -115,7 +120,7 @@ def lp_optimal_at(lp: LinearProgram, x: np.ndarray, tol: float = 1e-9) -> bool:
     if not lp_feasible(lp, x, tol):
         return False
     normals = []
-    for row, rel, b in lp.constraints:
+    for row, rel, b in zip(lp.constraints, lp.relations, lp.rhs):
         v = float(row @ x) - b
         if rel in (LE, EQ) and v >= -tol:
             normals.append(row)
@@ -211,3 +216,29 @@ def openness_probe_oracle(b1, b2, p, k: int, cfg=DEFAULT_CONFIG, rng=None) -> fl
         perturbed = np.cos(theta) * pv + np.sin(theta) * tangent
         worst = min(worst, wedge_membership(b1, b2, perturbed, cfg).margin)
     return worst
+
+
+def dual_witness_oracle(b1, b2, cfg=DEFAULT_CONFIG, w1=None, w2=None):
+    """dual_witness in its earlier, hemisphericity-first order: both
+    witnesses (unless passed), then the pole LP, then the cone LP.  Kept
+    to show that solving the pole LP first changes no answer."""
+    if b1.n != b2.n:
+        raise DimensionMismatch("bodies live on different spheres")
+    if w1 is None:
+        w1 = hemisphericity_witness(b1, cfg)
+    if w2 is None:
+        w2 = hemisphericity_witness(b2, cfg)
+    g1, g2 = b1.generators, b2.generators
+    out = solve(_pole_lp(np.vstack([g1, -g2])), tol=cfg.lp_tol,
+                max_pivots=100 * cfg.max_iter)
+    t = out.objective_value if out.status is LpStatus.OPTIMAL else 0.0
+    if t > cfg.margin_tol:
+        witness = normalize(out.solution[:-1], cfg)
+        t = float(min(np.min(g1 @ witness), -np.max(g2 @ witness)))
+        if t > cfg.margin_tol:
+            return SeparationCertificate(kind="disjoint", witness=witness, margin=t)
+    inter = primal_intersect(b1, b2, cfg, w1=w1, w2=w2)
+    if inter is not None:
+        return SeparationCertificate(kind="intersecting", common_point=inter.common_point,
+                                     lam=inter.lam, mu=inter.mu)
+    raise NumericallyAmbiguous(f"separation margin {t:.3e} within the tolerance band")

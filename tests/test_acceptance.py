@@ -179,7 +179,9 @@ def test_criterion_7_lp_against_oracle(acceptance):
         rels = [str(r) for r in rng.choice([LE, GE], size=nc)]
         lp = LinearProgram(
             objective=rng.standard_normal(nv),
-            constraints=[(A[i], rels[i], float(b[i])) for i in range(nc)],
+            constraints=A,
+            relations=rels,
+            rhs=b,
             lower=np.full(nv, -3.0),
             upper=np.full(nv, 3.0),
         )

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sphsep.cli import main
 from sphsep.convexity import SphericalBody, hemisphericity_witness
@@ -208,8 +213,8 @@ def _orthogonal_caps_doc(n, k):
 
 
 def test_pivot_budget_overrun_exit_codes(tmp_path, capsys):
-    # on S^40 the hemisphericity LPs (97 pivots at most) fit, the dual pole
-    # LP (112) does not
+    # on S^40 the dual pole LP, which witness --method lp solves first,
+    # overruns its 100-pivot budget at pivot 112; no hemisphericity LP runs
     path = write_instance(tmp_path, _orthogonal_caps_doc(40, 80), "caps.json")
     code, out, _ = run_cli(capsys, "witness", path, "--method", "lp")
     assert code == 3
@@ -358,6 +363,69 @@ def test_plot_solves_each_hemisphericity_lp_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "plot", path, "-o", str(tmp_path / "scene.json"))
     assert code == 0
     assert len(calls) == 2
+
+
+def test_disjoint_witness_lp_solves_one_lp(tmp_path, capsys, solve_sites):
+    # the pole LP alone certifies a disjoint pair: 1 solve, where solving
+    # both hemisphericity LPs before it made 3
+    path = write_instance(tmp_path, DISJOINT_S2)
+    code, out, _ = run_cli(capsys, "witness", path, "--method", "lp")
+    assert code == 0 and json.loads(out)["status"] == "disjoint"
+    assert len(solve_sites) == 1
+    # check stays the cone oracle: two hemisphericity LPs and the cone LP
+    solve_sites.clear()
+    code, _, _ = run_cli(capsys, "check", path)
+    assert code == 0
+    assert len(solve_sites) == 3
+
+
+def test_intersecting_witness_lp_solves_four_lps(tmp_path, capsys, solve_sites):
+    # pole LP, then both hemisphericity LPs and the cone LP
+    path = write_instance(tmp_path, {"n": 1, "w1": [[0.6, 0.8]], "w2": [[0.6, 0.8]]})
+    code, _, _ = run_cli(capsys, "witness", path, "--method", "lp")
+    assert code == 2
+    assert len(solve_sites) == 4
+
+
+@st.composite
+def _near_touching_docs(draw):
+    """Small bodies on S^1..S^3 whose closest generators, Q0 and R0, sit
+    gap rad on either side of a great sphere along one tangent direction,
+    with gap a few multiples of the default margin_tol (negative: they
+    cross), and a search and pivot budget of 1, 2 or 5 rounds."""
+    n = draw(st.integers(1, 3))
+    k1, k2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gap = draw(st.sampled_from([-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 5.0])) * 1e-9
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = _random_unit(rng, n + 1)
+    t0 = _random_tangent(rng, e)
+    bodies = []
+    for side, k in ((1.0, k1), (-1.0, k2)):
+        rows = [side * np.sin(gap) * e + np.cos(gap) * t0]
+        for _ in range(k - 1):
+            h = rng.uniform(0.0, 0.5)
+            rows.append(side * np.sin(h) * e + np.cos(h) * _random_tangent(rng, e))
+        bodies.append(np.array(rows).tolist())
+    max_iter = draw(st.sampled_from([1, 2, 5]))
+    return {"n": n, "w1": bodies[0], "w2": bodies[1], "tolerances": {"max_iter": max_iter}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_near_touching_docs())
+def test_near_touching_queries_end_in_documented_exit_codes(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/inst.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for args in (["check"], ["witness", "--method", "lp"],
+                     ["witness", "--method", "proof-path"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([args[0], path, *args[1:]])
+            assert code in (0, 2, 3, 4, 5), (args, code)
+            assert "Traceback" not in err.getvalue(), args
+            if code in (0, 2, 3):
+                json.loads(out.getvalue())  # one JSON document on stdout
 
 
 def test_plot_arc_endpoints_are_generators(tmp_path, capsys):

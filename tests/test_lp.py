@@ -15,10 +15,9 @@ from .oracles import lp_feasible, lp_oracle
 def test_box_corner():
     lp = LinearProgram(
         objective=np.array([1.0, 1.0]),
-        constraints=[
-            (np.array([1.0, 0.0]), LE, 2.0),
-            (np.array([0.0, 1.0]), LE, 3.0),
-        ],
+        constraints=np.eye(2),
+        relations=LE,
+        rhs=np.array([2.0, 3.0]),
     )
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
@@ -29,7 +28,9 @@ def test_box_corner():
 def test_infeasible():
     lp = LinearProgram(
         objective=np.array([1.0]),
-        constraints=[(np.array([1.0]), LE, -1.0)],
+        constraints=np.array([[1.0]]),
+        relations=LE,
+        rhs=np.array([-1.0]),
     )
     assert solve(lp).status is LpStatus.INFEASIBLE
 
@@ -42,7 +43,9 @@ def test_unbounded():
 def test_equality_row():
     lp = LinearProgram(
         objective=np.array([1.0, 0.0]),
-        constraints=[(np.array([1.0, 1.0]), EQ, 1.0)],
+        constraints=np.array([[1.0, 1.0]]),
+        relations=EQ,
+        rhs=np.array([1.0]),
     )
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
@@ -54,11 +57,11 @@ def test_beale_degenerate_terminates():
     # Beale's cycling example; the solver must still reach the optimum 0.05
     lp = LinearProgram(
         objective=np.array([0.75, -150.0, 0.02, -6.0]),
-        constraints=[
-            (np.array([0.25, -60.0, -0.04, 9.0]), LE, 0.0),
-            (np.array([0.5, -90.0, -0.02, 3.0]), LE, 0.0),
-            (np.array([0.0, 0.0, 1.0, 0.0]), LE, 1.0),
-        ],
+        constraints=np.array(
+            [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]
+        ),
+        relations=LE,
+        rhs=np.array([0.0, 0.0, 1.0]),
     )
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
@@ -70,11 +73,11 @@ def _chvatal_cycling_lp():
     # with smallest-index ratio ties cycles here without reaching the optimum
     return LinearProgram(
         objective=np.array([10.0, -57.0, -9.0, -24.0]),
-        constraints=[
-            (np.array([0.5, -5.5, -2.5, 9.0]), LE, 0.0),
-            (np.array([0.5, -1.5, -0.5, 1.0]), LE, 0.0),
-            (np.array([1.0, 0.0, 0.0, 0.0]), LE, 1.0),
-        ],
+        constraints=np.array(
+            [[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]]
+        ),
+        relations=LE,
+        rhs=np.array([0.0, 0.0, 1.0]),
     )
 
 
@@ -114,7 +117,9 @@ def test_negative_lower_bounds():
 def test_free_variable_pinned_by_equality():
     lp = LinearProgram(
         objective=np.array([0.0]),
-        constraints=[(np.array([1.0]), EQ, -3.0)],
+        constraints=np.array([[1.0]]),
+        relations=EQ,
+        rhs=np.array([-3.0]),
         lower=np.array([-np.inf]),
     )
     out = solve(lp)
@@ -138,7 +143,9 @@ def test_ge_rows_with_zero_rhs_feasible_at_origin():
     # variables should be needed; the optimum pushes along the cone
     lp = LinearProgram(
         objective=np.array([1.0, 1.0]),
-        constraints=[(np.array([1.0, -1.0]), GE, 0.0)],
+        constraints=np.array([[1.0, -1.0]]),
+        relations=GE,
+        rhs=np.array([0.0]),
         upper=np.array([1.0, 1.0]),
     )
     out = solve(lp)
@@ -147,28 +154,83 @@ def test_ge_rows_with_zero_rhs_feasible_at_origin():
 
 
 def test_rejects_mismatched_rows():
-    with pytest.raises(DimensionMismatch):
-        LinearProgram(
-            objective=np.array([1.0, 2.0]),
-            constraints=[(np.array([1.0]), LE, 0.0)],
-        )
-    with pytest.raises(DimensionMismatch):
-        LinearProgram(objective=np.array([1.0]), lower=np.array([2.0]), upper=np.array([1.0]))
-    with pytest.raises(DimensionMismatch):
-        LinearProgram(
-            objective=np.array([1.0]),
-            constraints=[(np.array([1.0]), "<", 0.0)],
-        )
+    malformed = [
+        # wrong column count
+        dict(constraints=np.ones((2, 3)), relations=LE, rhs=np.zeros(2)),
+        # rows given as a flat vector
+        dict(constraints=np.ones(2), relations=LE, rhs=np.zeros(1)),
+        # relation count differs from the row count
+        dict(constraints=np.ones((2, 2)), relations=[LE, GE, EQ], rhs=np.zeros(2)),
+        dict(constraints=np.ones((2, 2)), relations=[LE], rhs=np.zeros(2)),
+        # unknown relation, alone or in a list
+        dict(constraints=np.ones((2, 2)), relations="<", rhs=np.zeros(2)),
+        dict(constraints=np.ones((2, 2)), relations=[LE, "=>"], rhs=np.zeros(2)),
+        # rhs of the wrong length or shape
+        dict(constraints=np.ones((2, 2)), relations=LE, rhs=np.zeros(3)),
+        dict(constraints=np.ones((2, 2)), relations=LE, rhs=np.zeros((2, 1))),
+        # bounds
+        dict(lower=np.array([2.0, 0.0]), upper=np.array([1.0, 1.0])),
+        dict(lower=np.zeros(3)),
+    ]
+    for kwargs in malformed:
+        with pytest.raises(DimensionMismatch):
+            LinearProgram(objective=np.array([1.0, 2.0]), **kwargs)
+
+
+def test_single_relation_applies_to_every_row():
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    lp = LinearProgram(objective=np.array([-1.0, -1.0]), constraints=A, relations=GE,
+                       rhs=np.array([1.0, 1.0, 3.0]))
+    assert list(lp.relations) == [GE, GE, GE]
+    assert lp.code.tolist() == [-1, -1, -1]
+    assert len(lp.constraints) == 3
+    spelled_out = LinearProgram(objective=lp.objective, constraints=A,
+                                relations=[GE, GE, GE], rhs=lp.rhs)
+    out, again = solve(lp), solve(spelled_out)
+    assert out.status is LpStatus.OPTIMAL
+    assert np.isclose(out.objective_value, -3.0)
+    assert np.array_equal(out.solution, again.solution)
+
+
+def test_mixed_relations_are_coded_per_row():
+    lp = LinearProgram(objective=np.array([1.0]), constraints=np.ones((3, 1)),
+                       relations=np.array([LE, EQ, GE]), rhs=np.array([2.0, 1.0, 0.0]))
+    assert lp.code.tolist() == [1, 0, -1]
+    out = solve(lp)
+    assert out.status is LpStatus.OPTIMAL and np.isclose(out.solution[0], 1.0)
+
+
+def test_zero_row_programs():
+    # no rows at all: the bounds alone decide
+    lp = LinearProgram(objective=np.array([1.0, -1.0]), lower=np.array([-1.0, -2.0]),
+                       upper=np.array([3.0, 4.0]))
+    assert lp.constraints.shape == (0, 2) and len(lp.constraints) == 0
+    out = solve(lp)
+    assert out.status is LpStatus.OPTIMAL
+    assert np.array_equal(out.solution, [3.0, -2.0])
+    # an explicit (0, n) matrix with an empty relation list is the same program
+    empty = LinearProgram(objective=lp.objective, constraints=np.zeros((0, 2)), relations=[],
+                          rhs=np.zeros(0), lower=lp.lower, upper=lp.upper)
+    assert np.array_equal(solve(empty).solution, out.solution)
+
+
+def test_solve_leaves_the_program_unchanged():
+    # solve flips rows with a negative rhs on its own copies only
+    A = np.array([[1.0, 1.0], [1.0, -1.0]])
+    lp = LinearProgram(objective=np.array([1.0, 1.0]), constraints=A.copy(),
+                       relations=[LE, GE], rhs=np.array([2.0, -1.0]))
+    first = solve(lp)
+    assert np.array_equal(lp.constraints, A)
+    assert lp.rhs.tolist() == [2.0, -1.0] and lp.code.tolist() == [1, -1]
+    assert np.array_equal(solve(lp).solution, first.solution)
 
 
 def test_pivot_budget_enforced():
     lp = LinearProgram(
         objective=np.array([1.0, 1.0, 1.0]),
-        constraints=[
-            (np.array([1.0, 1.0, 0.0]), LE, 4.0),
-            (np.array([0.0, 1.0, 1.0]), LE, 4.0),
-            (np.array([1.0, 0.0, 1.0]), LE, 4.0),
-        ],
+        constraints=np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),
+        relations=LE,
+        rhs=np.full(3, 4.0),
     )
     with pytest.raises(IterationLimit):
         solve(lp, max_pivots=1)
@@ -180,7 +242,9 @@ def test_deterministic_reruns():
     b = rng.standard_normal(5) + 2.0
     lp_args = dict(
         objective=rng.standard_normal(4),
-        constraints=[(A[i], LE, float(b[i])) for i in range(5)],
+        constraints=A,
+        relations=LE,
+        rhs=b,
         lower=-np.ones(4),
         upper=np.ones(4),
     )
@@ -197,7 +261,9 @@ def _random_box_lp(rng, nv, nc):
     rels = rng.choice([LE, GE], size=nc)
     return LinearProgram(
         objective=rng.standard_normal(nv),
-        constraints=[(A[i], str(rels[i]), float(b[i])) for i in range(nc)],
+        constraints=A,
+        relations=rels,
+        rhs=b,
         lower=np.full(nv, -2.0),
         upper=np.full(nv, 2.0),
     )
@@ -248,22 +314,19 @@ def _degenerate_pole_lp(rng, lift=False):
     rows = rng.integers(-2, 3, size=(m, k)).astype(float)
     rows[rng.random(m) < 0.3] = rows[0]
     c = rng.integers(1, 4, size=m).astype(float) if lift else np.zeros(m)
-    cons = []
-    for row, ci in zip(rows, c):
-        if rng.random() < 0.75:
-            cons.append((np.append(row, -1.0), GE, 0.0))
-        else:
-            cons.append((np.append(row, 1.0), LE, 0.0))
+    ge = np.array([rng.random() < 0.75 for _ in range(m)])
+    A = np.column_stack([rows, np.where(ge, -1.0, 1.0)])
+    rels, b = [GE if g else LE for g in ge], np.zeros(m)
     lower = np.append(np.full(k, -1.0), rng.choice([-2.0, 0.0, 0.5]))
     upper = np.append(np.ones(k), 2.0)
     obj = np.zeros(k + 1)
     obj[-1] = 1.0
     if lift:
         d = float(rng.choice([3.0, 6.0, 7.0]))
-        cons = [(np.append(a, ci), rel, ci / 10) for (a, rel, _), ci in zip(cons, c)]
-        cons.append((np.append(np.zeros(k + 1), d), LE, d / 10))
+        A = np.vstack([np.column_stack([A, c]), np.append(np.zeros(k + 1), d)])
+        rels, b = rels + [LE], np.append(c / 10, d / 10)
         lower, upper, obj = np.append(lower, 0.0), np.append(upper, 1.0), np.append(obj, 100.0)
-    return LinearProgram(objective=obj, constraints=cons, lower=lower, upper=upper)
+    return LinearProgram(obj, A, rels, b, lower=lower, upper=upper)
 
 
 @pytest.mark.parametrize("lift", [False, True])
@@ -330,10 +393,9 @@ def test_phase_one_keeps_rows_that_pin_slacks():
     # and returned the infeasible optimum x = 0.
     lp = LinearProgram(
         objective=np.array([-1.0, -1.0]),
-        constraints=[
-            (np.array([1.0, -1.0]), LE, 1.0),
-            (np.array([1.0, -1.0]), GE, 1.0),
-        ],
+        constraints=np.array([[1.0, -1.0], [1.0, -1.0]]),
+        relations=[LE, GE],
+        rhs=np.array([1.0, 1.0]),
         upper=np.full(2, 2.0),
     )
     out = solve(lp)
@@ -370,13 +432,14 @@ def _bits_battery_lp(rng):
     redraw = rng.random(nc) < 0.15
     b[redraw] = rng.standard_normal(int(redraw.sum()))
     b[rng.random(nc) < 0.1] = 0.0
-    cons = [(A[i], rels[i], float(b[i])) for i in range(nc)]
     for _ in range(int(rng.integers(0, 3)) if nc else 0):
         i = int(rng.integers(nc))
         s = float(rng.uniform(0.5, 2.0))
-        cons.append((s * A[i], rels[i], s * float(b[i])))
+        A, b = np.vstack([A, s * A[i]]), np.append(b, s * b[i])
+        rels.append(rels[i])
     return LinearProgram(
-        objective=rng.standard_normal(nv), constraints=cons, lower=lower, upper=upper
+        objective=rng.standard_normal(nv), constraints=A, relations=rels, rhs=b,
+        lower=lower, upper=upper,
     )
 
 

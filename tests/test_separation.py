@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphsep.separation
-from sphsep.convexity import SphericalBody, _pole_lp
+from sphsep.convexity import SphericalBody, _pole_lp, hemisphericity_witness
 from sphsep.errors import (
     ContractionStalled,
+    SphSepError,
     DimensionMismatch,
     EpsilonSearchFailed,
     NotHemispherical,
@@ -29,6 +30,7 @@ from sphsep.separation import (
 
 from .oracles import (
     cone_member_oracle,
+    dual_witness_oracle,
     lp_optimal_at,
     lp_oracle,
     openness_probe_oracle,
@@ -305,8 +307,9 @@ def test_row_generation_reaches_full_lp_optimum(monkeypatch, n):
             hyp, slack = _separating_hyperplane_contracted(hull, sigma, cfg)
         assert len(finals) == (1 if sigma == 1.0 else 3)
         for lp, x in finals:
-            every_row = [(row, LE, 0.0) for row in hull.rows] + lp.constraints[-3:]
-            full = LinearProgram(lp.objective, every_row, lp.lower, lp.upper)
+            every_row = np.vstack([hull.rows, lp.constraints[-3:]])
+            rhs = np.concatenate([np.zeros(hull.rows.shape[0]), lp.rhs[-3:]])
+            full = LinearProgram(lp.objective, every_row, LE, rhs, lp.lower, lp.upper)
             assert lp_optimal_at(full, x), sigma
 
         u1, u2 = np.vstack([v1, sigma * v1]), np.vstack([v2, sigma * v2])
@@ -381,3 +384,97 @@ def test_openness_probe_deterministic_with_seeded_rng():
     a = wedge_openness_probe(b1, b2, cert.witness, 20, rng=np.random.default_rng(1))
     b = wedge_openness_probe(b1, b2, cert.witness, 20, rng=np.random.default_rng(1))
     assert a == b
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_disjoint_dual_witness_solves_only_the_pole_lp(solve_sites, dim):
+    # the pole LP's certificate shows both bodies hemispherical, so no
+    # hemisphericity LP runs: 1 solve, where the hemisphericity-first order
+    # made 3 (two hemisphericity LPs, then the pole LP)
+    b1, b2 = disjoint_pair(seed=dim, dim=dim, k1=6, k2=5)
+    solve_sites.clear()
+    assert dual_witness(b1, b2).kind == "disjoint"
+    assert solve_sites == ["dual_witness"]
+
+
+def test_intersecting_dual_witness_solves_four_lps(solve_sites):
+    spec = InstanceSpec(dimension=3, k1=6, k2=5, seed=2, mode=Mode.FORCE_INTERSECTING)
+    b1, b2 = generate(spec)
+    w1, w2 = hemisphericity_witness(b1), hemisphericity_witness(b2)
+    solve_sites.clear()
+    assert dual_witness(b1, b2).kind == "intersecting"
+    assert solve_sites == ["dual_witness", "hemisphericity_witness",
+                           "hemisphericity_witness", "primal_intersect"]
+    # passed witnesses are used, not solved for again
+    solve_sites.clear()
+    assert dual_witness(b1, b2, w1=w1, w2=w2).kind == "intersecting"
+    assert solve_sites == ["dual_witness", "primal_intersect"]
+
+
+def test_primal_intersect_keeps_its_three_lps(solve_sites):
+    # the cone oracle stays independent of the pole LP
+    for b1, b2 in (disjoint_pair(seed=1, dim=3),
+                   generate(InstanceSpec(dimension=3, k1=4, k2=4, seed=1,
+                                         mode=Mode.FORCE_INTERSECTING))):
+        solve_sites.clear()
+        primal_intersect(b1, b2)
+        assert solve_sites == ["hemisphericity_witness", "hemisphericity_witness",
+                               "primal_intersect"]
+
+
+def _band_pair():
+    # the 0.9e-9 band-edge instance of the CLI tests: body 1's own margin
+    # and the separation margin both sit inside the 1e-9 band
+    th, p, e = 0.9e-9, np.array([S, S]), np.array([S, -S])
+    w1 = np.array([np.cos(th) * e + np.sin(th) * p, -np.cos(th) * e + np.sin(th) * p])
+    return SphericalBody(w1), SphericalBody(-p[None, :])
+
+
+def _order_cases():
+    """oracles-style pairs on S^3..S^12 with 16..64 generators in each mode,
+    small pairs on S^1..S^3, bodies that are not hemispherical, and the
+    band-edge instance."""
+    modes = (Mode.FORCE_DISJOINT, Mode.FORCE_INTERSECTING, Mode.UNCONSTRAINED)
+    rng = np.random.default_rng(8)
+    for n in range(3, 13):
+        for mode in modes:
+            k1, k2 = (int(k) for k in rng.integers(16, 65, size=2))
+            yield generate(InstanceSpec(dimension=n, k1=k1, k2=k2, seed=int(rng.integers(2**31)),
+                                        mode=mode))
+    for seed in range(12):
+        yield generate(InstanceSpec(dimension=1 + seed % 3, k1=1 + seed % 4, k2=2,
+                                    seed=seed, mode=modes[seed % 3]))
+    half_circle = SphericalBody(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    yield half_circle, SphericalBody(np.array([[0.0, 1.0]]))
+    yield SphericalBody(np.array([[0.0, -1.0]])), half_circle
+    yield half_circle, half_circle
+    octant = SphericalBody(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]))
+    yield octant, SphericalBody(np.array([[-1.0, 0.0, 0.0]]))
+    yield _band_pair()
+    # two points 1e-9 rad apart: both hemispherical, the pole margin 0.5e-9
+    # is inside the band, and the cone LP finds no common ray
+    a = 0.5e-9
+    yield (SphericalBody(np.array([[np.cos(a), np.sin(a)]])),
+           SphericalBody(np.array([[np.cos(a), -np.sin(a)]])))
+
+
+def _dual_outcome(fn, b1, b2, **kwargs):
+    try:
+        cert = fn(b1, b2, **kwargs)
+    except SphSepError as exc:
+        return type(exc)
+    fields = (cert.witness, cert.margin, cert.lam, cert.mu, cert.common_point)
+    return cert.kind, tuple(None if f is None else np.asarray(f).tobytes() for f in fields)
+
+
+def test_certificate_first_matches_hemisphericity_first_order():
+    kinds = set()
+    for b1, b2 in _order_cases():
+        got = _dual_outcome(dual_witness, b1, b2)
+        assert got == _dual_outcome(dual_witness_oracle, b1, b2)
+        kinds.add(got if isinstance(got, type) else got[0])
+        if isinstance(got, tuple):
+            # passing the witnesses changes nothing either
+            w1, w2 = hemisphericity_witness(b1), hemisphericity_witness(b2)
+            assert _dual_outcome(dual_witness, b1, b2, w1=w1, w2=w2) == got
+    assert kinds == {"disjoint", "intersecting", NotHemispherical, NumericallyAmbiguous}
