@@ -48,8 +48,6 @@ from .harness import (
 )
 from .lp import EQ, GE, LE, LinearProgram, LpOutcome, LpStatus, solve
 from .separation import (
-    Hyperplane,
-    Intersection,
     MembershipResult,
     ProofTrace,
     SeparationCertificate,
@@ -71,9 +69,7 @@ __all__ = [
     "EpsilonSearchFailed",
     "GE",
     "GenerationFailed",
-    "Hyperplane",
     "InstanceSpec",
-    "Intersection",
     "IterationLimit",
     "LE",
     "LinearProgram",

@@ -10,9 +10,10 @@ Commands
 
 Files are UTF-8 JSON.  An instance file holds {"n": ..., "w1": [[...]],
 "w2": [[...]]} with optional {"tolerances": {...}} overrides; rows are
-normalized on load (rejected below norm 1e-6, warned about on stderr when
-not unit).  Result documents are emitted to stdout with fixed key order so
-identical inputs produce identical bytes; timing goes to stderr.
+normalized on load (rejected below norm 1e-6 or at a norm that is not
+finite, warned about on stderr when not unit).  Result documents are
+emitted to stdout with fixed key order so identical inputs produce
+identical bytes; timing goes to stderr.
 
 Exit codes (stable):
   0  disjoint / campaign clean / scene written
@@ -31,7 +32,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
 
@@ -85,13 +86,9 @@ def _tolerances_from(data: dict, args) -> ToleranceConfig:
     if getattr(args, "tol_offset", None) is not None:
         overrides["offset_tol"] = args.tol_offset
     try:
-        return ToleranceConfig(**{**_cfg_dict(DEFAULT_CONFIG), **overrides})
+        return replace(DEFAULT_CONFIG, **overrides)
     except (TypeError, ValueError) as exc:
         raise _InputError(f"bad tolerances: {exc}") from exc
-
-
-def _cfg_dict(cfg: ToleranceConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in dataclass_fields(ToleranceConfig)}
 
 
 def _body_from(data: dict, key: str, n: int, cfg: ToleranceConfig) -> SphericalBody:
@@ -108,7 +105,10 @@ def _body_from(data: dict, key: str, n: int, cfg: ToleranceConfig) -> SphericalB
             vec = np.array([float(x) for x in row])
         except (TypeError, ValueError) as exc:
             raise _InputError(f'"{key}"[{i}] has a non-numeric entry') from exc
-        nrm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):  # the norm of finite entries may overflow
+            nrm = float(np.linalg.norm(vec))
+        if not np.isfinite(nrm):
+            raise _InputError(f'"{key}"[{i}] has norm {nrm}; a row needs a finite norm')
         if nrm < 1e-6:
             raise _InputError(f'"{key}"[{i}] has norm {nrm:.2e}, below 1e-6')
         if abs(nrm - 1.0) > cfg.unit_tol:
@@ -315,7 +315,7 @@ def _body_scene(body: SphericalBody, cfg: ToleranceConfig) -> tuple[dict, np.nda
     projected along (reused by the caller for the dual pole LP)."""
     gens = body.generators
     witness = hemisphericity_witness(body, cfg)
-    frame = orthonormal_frame(witness, cfg)
+    frame = orthonormal_frame(witness)
     flat = project_body(body, frame, cfg).vertices
     arcs = [
         _slerp(gens[i], gens[j], _ARC_SAMPLES) for i, j in _hull_edges_2d(flat)
@@ -340,7 +340,7 @@ def _cmd_plot(args) -> int:
             cert = None
         if cert is not None and cert.kind == "disjoint":
             w = cert.witness
-            frame = orthonormal_frame(w, cfg)
+            frame = orthonormal_frame(w)
             u, v = frame.basis
             boundary = []
             for i in range(_BOUNDARY_SAMPLES):

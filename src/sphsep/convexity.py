@@ -196,9 +196,7 @@ def project_body(
     return TangentPolytope(frame=frame, vertices=verts)
 
 
-def fatten(
-    poly: TangentPolytope, eps: float, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> TangentPolytope:
+def fatten(poly: TangentPolytope, eps: float) -> TangentPolytope:
     """Minkowski sum with the eps cross-polytope, as a vertex set.
 
     Output vertices are v +- eps e_k for every input vertex v and axis k

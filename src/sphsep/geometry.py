@@ -8,6 +8,7 @@ central (gnomonic) projection lands in ordinary R^n coordinates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,10 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
+        try:
+            operator.index(self.max_iter)
+        except TypeError:
+            raise TypeError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -115,7 +120,7 @@ class TangentFrame:
         return self.basis.shape[0]
 
 
-def orthonormal_frame(base, cfg: ToleranceConfig = DEFAULT_CONFIG) -> TangentFrame:
+def orthonormal_frame(base) -> TangentFrame:
     """Deterministic tangent frame at ``base``.
 
     Gram-Schmidt over the standard basis vectors, skipping the axis most

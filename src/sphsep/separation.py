@@ -50,8 +50,6 @@ from .geometry import (
 from .lp import EQ, LE, LinearProgram, LpStatus, solve
 
 __all__ = [
-    "Hyperplane",
-    "Intersection",
     "MembershipResult",
     "ProofTrace",
     "SeparationCertificate",
@@ -65,7 +63,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """The set {x : normal . x = offset}, with unit normal."""
+    """The set {x : normal . x = offset}, with unit normal: what one hull
+    separation of the proof path finds."""
 
     normal: np.ndarray
     offset: float
@@ -83,15 +82,6 @@ class Hyperplane:
 class MembershipResult(NamedTuple):
     member: bool
     margin: float
-
-
-@dataclass(frozen=True)
-class Intersection:
-    """Constructive proof that two spherical hulls share a point."""
-
-    common_point: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -121,19 +111,18 @@ class ProofTrace:
     """Record of the constructive separation run.
 
     epsilon0 is the fattening radius that kept the fattened bodies disjoint;
-    hyperplane_sequence carries strictly decreasing |offset|, ending below
-    offset_tol; delta_sequence lists the contraction factors; iterations
-    counts contraction rounds.
+    offsets are the strictly decreasing |offset| of the separating
+    hyperplanes, the first from the separation at sigma = 1 and one more per
+    contraction round, ending below offset_tol; iterations counts the
+    contraction rounds.
     """
 
     epsilon0: float
-    hyperplane_sequence: list[Hyperplane] = field(default_factory=list)
-    delta_sequence: list[float] = field(default_factory=list)
-    iterations: int = 0
+    offsets: list[float] = field(default_factory=list)
 
     @property
-    def offsets(self) -> list[float]:
-        return [abs(h.offset) for h in self.hyperplane_sequence]
+    def iterations(self) -> int:
+        return len(self.offsets) - 1
 
 
 def _require_same_dimension(b1: SphericalBody, b2: SphericalBody) -> None:
@@ -149,8 +138,10 @@ def primal_intersect(
     cfg: ToleranceConfig = DEFAULT_CONFIG,
     w1: np.ndarray | None = None,
     w2: np.ndarray | None = None,
-) -> Intersection | None:
-    """Do the closed spherical hulls meet?  None means provably disjoint.
+) -> SeparationCertificate | None:
+    """Do the closed spherical hulls meet?  None means provably disjoint;
+    otherwise the intersecting certificate, with the common point and the
+    cone coefficients lam and mu that build it.
 
     Solves the cone feasibility system
 
@@ -187,8 +178,8 @@ def primal_intersect(
     if out.status is not LpStatus.OPTIMAL:
         return None
     lam, mu = out.solution[:m1], out.solution[m1:]
-    return Intersection(
-        common_point=normalize(g1.T @ lam, cfg), lam=lam, mu=mu
+    return SeparationCertificate(
+        kind="intersecting", common_point=normalize(g1.T @ lam, cfg), lam=lam, mu=mu
     )
 
 
@@ -225,12 +216,12 @@ def dual_witness(
     The pole LP comes first, on the rows (Q, -R): maximize t subject to
     P . Q_j >= t, P . R_k <= -t, |P_m| <= 1, t free.  The pole is
     renormalized to the sphere (sign conditions survive), and disjointness
-    is certified when its unit-scale margin exceeds margin_tol.  That pole
+    is certified when it is a wedge member (wedge_membership).  That pole
     is the whole certificate: it also shows both bodies hemispherical (P for
     body 1, -P for body 2), so no hemisphericity LP is solved.  Only when it
     does not certify are the hemisphericity witnesses found (unless passed
     as w1/w2; NotHemispherical propagates) and the primal oracle consulted:
-    a feasible intersection yields the intersecting certificate, while
+    its intersecting certificate is returned as it is, while
     primal disjointness together with a marginal optimum is reported as
     NumericallyAmbiguous -- the strict inequalities are undecidable at this
     tolerance.
@@ -245,18 +236,14 @@ def dual_witness(
     t = out.objective_value if out.status is LpStatus.OPTIMAL else 0.0
     if t > cfg.margin_tol:
         witness = normalize(out.solution[:-1], cfg)
-        t = float(min(np.min(g1 @ witness), -np.max(g2 @ witness)))
-        if t > cfg.margin_tol:
-            return SeparationCertificate(kind="disjoint", witness=witness, margin=t)
+        unit = wedge_membership(b1, b2, witness, cfg)
+        if unit.member:
+            return SeparationCertificate(kind="disjoint", witness=witness, margin=unit.margin)
+        t = unit.margin
     # primal_intersect finds whichever hemisphericity witness was not passed
     inter = primal_intersect(b1, b2, cfg, w1=w1, w2=w2)
     if inter is not None:
-        return SeparationCertificate(
-            kind="intersecting",
-            common_point=inter.common_point,
-            lam=inter.lam,
-            mu=inter.mu,
-        )
+        return inter
     raise NumericallyAmbiguous(
         f"separation margin {t:.3e} within the tolerance band "
         f"{cfg.margin_tol:.1e} but cone feasibility says disjoint"
@@ -427,13 +414,13 @@ def proof_path_witness(
     projection of both bodies.  (2) Halving search for a fattening radius
     epsilon0 whose fattened pullbacks stay disjoint (starting at 0.5).
     (3) Max-slack hyperplane between the Euclidean hulls of the fattened
-    pullback generators: the contracted separation at sigma = 1.  (4) While
-    the offset magnitude is >= offset_tol: adjoin a contracted copy of each
+    pullback generators: the contracted separation at sigma = 1.  (4) One
+    contraction loop, which runs while the offset magnitude is >= offset_tol
+    or the normal is not yet a strict member of the witness wedge of the
+    original bodies (wedge_membership): adjoin a contracted copy of each
     vertex set (factor = current offset magnitude) and re-separate; the
-    offset strictly decreases each round.
-    (5) The final normal, oriented toward body 1, is the witness; it is
-    validated by wedge_membership on the original bodies, with a few extra
-    contraction rounds if the margins are not yet strict.
+    offset strictly decreases each round.  (5) The final normal, oriented
+    toward body 1 by construction, is the witness.
 
     The contracted copies compose: round k's vertex set is V0 together with
     (delta_1 ... delta_k) V0, whose hull equals the iterated adjoin-and-hull
@@ -443,15 +430,16 @@ def proof_path_witness(
     Raises EpsilonSearchFailed when no radius keeps the fattened bodies
     disjoint (hulls touch within tolerance -- also the symptom when the
     precondition "primal_intersect is None" is violated) and
-    ContractionStalled when offsets stop decreasing.
+    ContractionStalled when offsets stop decreasing, or when max_iter rounds
+    or a zero offset leave the normal outside the wedge.
     """
     _require_same_dimension(b1, b2)
     if w1 is None:
         w1 = hemisphericity_witness(b1, cfg)
     if w2 is None:
         w2 = hemisphericity_witness(b2, cfg)
-    f1 = orthonormal_frame(w1, cfg)
-    f2 = orthonormal_frame(w2, cfg)
+    f1 = orthonormal_frame(w1)
+    f2 = orthonormal_frame(w2)
     poly1 = project_body(b1, f1, cfg)
     poly2 = project_body(b2, f2, cfg)
 
@@ -459,8 +447,8 @@ def proof_path_witness(
     eps = 0.5
     x1 = x2 = None
     for _ in range(cfg.max_iter):
-        cand1 = pullback(fatten(poly1, eps, cfg), cfg)
-        cand2 = pullback(fatten(poly2, eps, cfg), cfg)
+        cand1 = pullback(fatten(poly1, eps), cfg)
+        cand2 = pullback(fatten(poly2, eps), cfg)
         if primal_intersect(cand1, cand2, cfg, w1=f1.base, w2=f2.base) is None:
             x1, x2 = cand1, cand2
             break
@@ -470,62 +458,43 @@ def proof_path_witness(
             f"no fattening radius in {cfg.max_iter} halvings kept the bodies "
             "disjoint; the spherical hulls touch within tolerance"
         )
-    epsilon0 = eps
 
     # (3) separate the Euclidean hulls
     hull = _HullRows(x1.generators, x2.generators)
     hyp, _ = _separating_hyperplane_contracted(hull, 1.0, cfg)
-    trace = ProofTrace(epsilon0=epsilon0, hyperplane_sequence=[hyp])
+    trace = ProofTrace(epsilon0=eps, offsets=[abs(hyp.offset)])
 
     # (4) offset contraction; sigma accumulates the composed factors.  Any
     # separator of the contracted union has |offset| < sigma, so driving
     # sigma down drives the offset down.  sigma is floored at offset_tol/10:
     # scales below that add nothing to termination (one floored round
     # already forces the offset below the floor) while they would push the
-    # LP toward its pivot tolerance.
-    delta_floor = cfg.offset_tol / 10.0
+    # LP toward its pivot tolerance.  Membership is tested only once the
+    # offset is below offset_tol; rounds after that squeeze the offset
+    # further in the rare case the margins are not yet strict.
     sigma_floor = cfg.offset_tol / 10.0
     sigma = 1.0
-
-    def contract(delta_eff: float) -> Hyperplane:
-        nonlocal sigma
-        prev_sigma = sigma
-        sigma = max(sigma * delta_eff, sigma_floor)
-        new_hyp, _ = _separating_hyperplane_contracted(hull, sigma, cfg)
-        prev = abs(trace.hyperplane_sequence[-1].offset)
-        if abs(new_hyp.offset) >= prev * (1.0 - cfg.lp_tol):
+    while (
+        trace.offsets[-1] >= cfg.offset_tol
+        or not (check := wedge_membership(b1, b2, hyp.normal, cfg)).member
+    ):
+        prev = trace.offsets[-1]
+        if trace.iterations >= cfg.max_iter or prev == 0.0:
+            raise ContractionStalled(
+                f"no strict witness after {trace.iterations} of {cfg.max_iter} "
+                f"contraction rounds; offset is {prev:.3e}"
+            )
+        sigma = max(sigma * prev, sigma_floor)
+        hyp, _ = _separating_hyperplane_contracted(hull, sigma, cfg)
+        if abs(hyp.offset) >= prev * (1.0 - cfg.lp_tol):
             raise ContractionStalled(
                 f"offset magnitude stalled at {prev:.3e} after "
                 f"{trace.iterations + 1} contraction rounds"
             )
-        trace.hyperplane_sequence.append(new_hyp)
-        trace.delta_sequence.append(sigma / prev_sigma)
-        trace.iterations += 1
-        return new_hyp
-
-    while abs(hyp.offset) >= cfg.offset_tol and abs(hyp.offset) > 0.0:
-        if trace.iterations >= cfg.max_iter:
-            raise ContractionStalled(
-                f"offset still {abs(hyp.offset):.3e} after {cfg.max_iter} rounds"
-            )
-        hyp = contract(max(abs(hyp.offset), delta_floor))
-
-    # (5) orient toward body 1 (already positive side by construction) and
-    # validate strict wedge margins on the original generators; squeeze the
-    # offset further in the rare case the margins are not yet strict
-    witness = hyp.normal
-    check = wedge_membership(b1, b2, witness, cfg)
-    while not check.member:
-        if trace.iterations >= cfg.max_iter or abs(hyp.offset) == 0.0:
-            raise ContractionStalled(
-                "wedge margins not strict and offset cannot shrink further"
-            )
-        hyp = contract(max(abs(hyp.offset), 1e-15))
-        witness = hyp.normal
-        check = wedge_membership(b1, b2, witness, cfg)
+        trace.offsets.append(abs(hyp.offset))
 
     cert = SeparationCertificate(
-        kind="disjoint", witness=witness, margin=check.margin
+        kind="disjoint", witness=hyp.normal, margin=check.margin
     )
     return cert, trace
 

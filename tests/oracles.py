@@ -239,6 +239,5 @@ def dual_witness_oracle(b1, b2, cfg=DEFAULT_CONFIG, w1=None, w2=None):
             return SeparationCertificate(kind="disjoint", witness=witness, margin=t)
     inter = primal_intersect(b1, b2, cfg, w1=w1, w2=w2)
     if inter is not None:
-        return SeparationCertificate(kind="intersecting", common_point=inter.common_point,
-                                     lam=inter.lam, mu=inter.mu)
+        return inter
     raise NumericallyAmbiguous(f"separation margin {t:.3e} within the tolerance band")

@@ -87,14 +87,19 @@ def test_check_non_hemispherical_is_ambiguous(tmp_path, capsys):
         {"n": 1, "w1": [[1.0, 0.0]], "w2": [[0.0, 1.0]], "tolerances": {"bogus": 1}},
         {"n": 1, "w1": [[1.0, 0.0]], "w2": [[0.0, 1.0]], "tolerances": {"margin_tol": -1}},
         {"n": 1, "w1": [[1.0, 0.0]], "w2": [[0.0, 1.0]], "tolerances": [1]},
+        {"n": 1, "w1": [[float("nan"), 1.0]], "w2": [[-1.0, 0.0]]},
+        {"n": 1, "w1": [[float("inf"), 1.0]], "w2": [[-1.0, 0.0]]},
+        {"n": 1, "w1": [[1e308, 1e308]], "w2": [[-1.0, 0.0]]},  # norm overflows
+        {"n": 1, "w1": [[1.0, 0.0]], "w2": [[0.0, 1.0]], "tolerances": {"max_iter": 1.5}},
     ],
 )
 def test_check_malformed_documents(tmp_path, capsys, doc):
     path = write_instance(tmp_path, doc)
-    code, out, err = run_cli(capsys, "check", path)
-    assert code == 4
-    assert out == ""
-    assert "error:" in err
+    for args in (["check"], ["witness"], ["witness", "--method", "proof-path"]):
+        code, out, err = run_cli(capsys, *args, path)
+        assert code == 4, args
+        assert out == ""
+        assert "error:" in err
 
 
 def test_check_invalid_json_and_missing_file(tmp_path, capsys):

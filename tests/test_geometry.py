@@ -44,6 +44,12 @@ def test_tolerance_config_rejects_nonpositive(field):
         ToleranceConfig(**{field: -1e-9})
 
 
+@pytest.mark.parametrize("max_iter", [1.5, 2.0])
+def test_tolerance_config_rejects_non_integral_max_iter(max_iter):
+    with pytest.raises(TypeError):
+        ToleranceConfig(max_iter=max_iter)
+
+
 def test_normalize_scales_to_unit():
     v = normalize([3.0, 4.0])
     assert np.allclose(v, [0.6, 0.8])

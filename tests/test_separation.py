@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,7 +63,7 @@ def test_primal_shared_generator_certificate():
     b1 = SphericalBody(np.array([shared, [1.0, 0.0, 0.0]]))
     b2 = SphericalBody(np.array([shared, normalize([0.0, 1.0, 3.0])]))
     inter = primal_intersect(b1, b2)
-    assert inter is not None
+    assert inter.kind == "intersecting"
     # the certificate is checkable by plain arithmetic
     assert np.all(inter.lam >= 0) and np.all(inter.mu >= 0)
     p1 = normalize(b1.generators.T @ inter.lam)
@@ -222,6 +224,47 @@ def test_proof_path_contraction_round_cap():
     b1, b2 = disjoint_pair(seed=0)
     with pytest.raises(ContractionStalled):
         proof_path_witness(b1, b2, ToleranceConfig(max_iter=1))
+
+
+@pytest.mark.parametrize("dim, seed, offsets, margin", [
+    (1, 0, [0.36450194977558015, 0.006196091141028443], 0.11373708207788742),
+    (2, 10, [0.3245321157576641, 0.03882515251353512], 0.17605789610406397),
+])
+def test_proof_path_rounds_after_offset_below_tol(dim, seed, offsets, margin):
+    # with offset_tol = 0.5 the first offset is already below it, but the
+    # margins are not yet strict, so the path contracts once more
+    b1, b2 = disjoint_pair(seed=seed, dim=dim, k1=3, k2=4)
+    cert, trace = proof_path_witness(b1, b2, ToleranceConfig(offset_tol=0.5))
+    assert trace.offsets == offsets
+    assert trace.iterations == 1
+    assert cert.margin == margin
+    assert wedge_membership(b1, b2, cert.witness).member
+
+
+def _proof_path_pin_cases():
+    """100 force-disjoint pairs on S^1..S^5 with 1..8 generators per body
+    under the default config, and the two offset_tol = 0.5 pairs above."""
+    for i in range(100):
+        yield disjoint_pair(seed=i, dim=1 + i % 5, k1=1 + i % 8, k2=1 + (3 * i + 2) % 8), ToleranceConfig()
+    for dim, seed in ((1, 0), (2, 10)):
+        yield disjoint_pair(seed=seed, dim=dim, k1=3, k2=4), ToleranceConfig(offset_tol=0.5)
+
+
+# sha256 of the proof path's fattening radii, offsets, witnesses and margins
+# over _proof_path_pin_cases: any change to the fattening search, a hull
+# separation or the contraction schedule changes it
+_PROOF_PATH_SHA256 = "12cf71eff75effcddf3eacc7704b1db5a94caf07fe6e90f870420205404fdd0c"
+
+
+def test_proof_path_bits_pinned():
+    h = hashlib.sha256()
+    for (b1, b2), cfg in _proof_path_pin_cases():
+        cert, trace = proof_path_witness(b1, b2, cfg)
+        h.update(np.float64(trace.epsilon0).tobytes())
+        h.update(np.array(trace.offsets).tobytes())
+        h.update(cert.witness.tobytes())
+        h.update(np.float64(cert.margin).tobytes())
+    assert h.hexdigest() == _PROOF_PATH_SHA256
 
 
 # vertex-set centres and contraction factor: hulls on opposite sides of the
