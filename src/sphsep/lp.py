@@ -8,18 +8,17 @@ deterministic: a plain tableau implementation is exactly reproducible, and
 fast enough for the feasibility and pole queries of this package, which
 have at most a few hundred rows and columns.  A program is handed over as
 one coefficient matrix with a relation and a right-hand side per row, so
-neither building nor standardizing it loops over rows.  The tableau keeps
-one slack column per row, so its size grows with the square of the row
-count; the proof path's hull separations, with one row per fattened vertex
-(2n per generator on S^n, thousands on large bodies), are never put into
-it whole but solved by row generation, a few dozen rows at a time (see
-separation._separating_hyperplane_contracted).  No external solver is
-used anywhere.
+neither building nor standardizing it loops over rows or variables.  The
+tableau keeps one slack column per row, so its size grows with the square
+of the row count; the proof path's hull separations, with one row per
+fattened vertex (2n per generator on S^n, thousands on large bodies), are
+never put into it whole but solved by row generation, a few dozen rows at
+a time (see separation._separating_hyperplane_contracted).  No external
+solver is used anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -136,6 +135,10 @@ class LpOutcome:
     pivots: int = 0
 
 
+# sign of a variable's first and second standard column
+_SLOT_SIGN = np.array([1.0, -1.0])
+
+
 def _standardize(lp: LinearProgram):
     """Rewrite with all variables >= 0.
 
@@ -149,45 +152,39 @@ def _standardize(lp: LinearProgram):
     rows are mapped by a signed column gather, and a standard-form solution
     maps back by summing each variable's signed columns (x_j = sum over
     owner[k] = j of sign[k] x_std[k], plus shift[j]); no dense variable map
-    is built.
+    is built.  Columns come in variable order, a split pair as (+, -); the
+    bound rows follow the program's rows in variable order, an upper bound
+    (<= hi - shift, on the signed columns) before a lower one (-x <= -lo).
+    Each is read off an (nv, 2) table, so nothing loops over variables.
     """
-    nv = lp.num_vars
-    owner: list[int] = []
-    sign: list[float] = []
+    lo, hi = lp.lower, lp.upper
+    nv = lo.size
+    keep = (lo >= 0.0) & np.isfinite(lo)
     shift = np.zeros(nv)
-    extra: list[tuple[dict[int, float], float]] = []  # sparse std-space <= rows
-
-    for j, (lo, hi) in enumerate(zip(lp.lower.tolist(), lp.upper.tolist())):
-        if lo == 0.0 or (math.isfinite(lo) and lo > 0.0):
-            shift[j] = lo
-            owner.append(j)
-            sign.append(1.0)
-            if math.isfinite(hi):
-                extra.append(({len(owner) - 1: 1.0}, hi - lo))
-        else:
-            # lo < 0 or lo = -inf: split into a nonnegative pair
-            owner += [j, j]
-            sign += [1.0, -1.0]
-            p, m = len(owner) - 2, len(owner) - 1
-            if math.isfinite(hi):
-                extra.append(({p: 1.0, m: -1.0}, hi))
-            if math.isfinite(lo):
-                extra.append(({p: -1.0, m: 1.0}, -lo))
-
-    ns = len(owner)
-    owner = np.array(owner, dtype=np.intp)
-    sign = np.array(sign)
+    shift[keep] = lo[keep]
+    # slot (j, 1) exists when variable j is split; bound (j, 0) is its upper
+    # and (j, 1) its lower bound row, the latter only on a split variable
+    slots = np.empty((nv, 2), dtype=bool)
+    slots[:, 0] = True
+    slots[:, 1] = ~keep
+    owner, second = slots.nonzero()
+    sign = _SLOT_SIGN[second]
+    bounds = np.empty((nv, 2), dtype=bool)
+    bounds[:, 0] = np.isfinite(hi)
+    bounds[:, 1] = slots[:, 1] & np.isfinite(lo)
+    var, side = bounds.nonzero()
+    E = np.where(owner == var[:, None], _SLOT_SIGN[side][:, None] * sign, 0.0)
+    bound_rhs = np.empty((nv, 2))
+    bound_rhs[:, 0] = hi - shift
+    bound_rhs[:, 1] = -lo
 
     A0 = lp.constraints
     # np.vecdot takes each row's dot the way row @ shift does, bit for bit
     rhs0 = lp.rhs - np.vecdot(A0, shift) if shift.any() else lp.rhs
-    E = np.zeros((len(extra), ns))
-    for i, (sparse, _) in enumerate(extra):
-        for k, v in sparse.items():
-            E[i, k] = v
-    A = np.vstack([A0[:, owner] * sign, E])
-    code = np.concatenate([lp.code, np.ones(len(extra), dtype=np.intp)])
-    rhs = np.concatenate([rhs0, [b for _, b in extra]])
+    A = np.concatenate([A0[:, owner] * sign, E])
+    code = np.ones(A.shape[0], dtype=np.intp)
+    code[: A0.shape[0]] = lp.code
+    rhs = np.concatenate([rhs0, bound_rhs[var, side]])
     return lp.objective[owner] * sign, A, code, rhs, owner, sign, shift
 
 

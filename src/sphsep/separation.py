@@ -255,16 +255,17 @@ class _HullRows:
     """Vertex rows of the proof path's hull separations, built once, and the
     working set of them that its LPs have needed so far.
 
-    Over the variables (P, a, b, t), body 1's vertex y gives the row
-    a - P . y <= 0 (a <= P . y) and body 2's vertex y the row
-    P . y - b <= 0 (b >= P . y).  The working set starts at one row per
-    body and only grows, so every LP of a proof path starts from the rows
-    that its earlier contraction rounds and sign regimes found binding.
+    Over the variables (P, a, b, alpha, beta, tau) of the contracted
+    separation LP, body 1's vertex y gives the row a - P . y <= 0
+    (a <= P . y) and body 2's vertex y the row P . y - b <= 0 (b >= P . y);
+    the alpha, beta and tau columns are zero.  The working set starts at one
+    row per body and only grows, so every LP of a proof path starts from the
+    rows that its earlier contraction rounds found binding.
     """
 
     def __init__(self, v1: np.ndarray, v2: np.ndarray):
         m1, d = v1.shape
-        rows = np.zeros((m1 + v2.shape[0], d + 3))
+        rows = np.zeros((m1 + v2.shape[0], d + 5))
         rows[:m1, :d] = -v1
         rows[:m1, d] = 1.0
         rows[m1:, :d] = v2
@@ -297,101 +298,84 @@ def _separating_hyperplane_contracted(
 
     The proof path's one hull-separation routine: its first separation is
     the case sigma = 1, where the copies coincide with v1 and v2.  Listing
-    the contracted copies as explicit vertex rows makes the tableau
-    two-scale (rows at magnitude 1 and at magnitude sigma), and once sigma
-    is small the optimum slack -- proportional to sigma -- drowns in the
-    roundoff that dividing by sigma-sized pivots produces.  So the union is
+    the contracted copies as explicit vertex rows would make the tableau
+    two-scale (rows at magnitude 1 and at magnitude sigma), so the union is
     solved without materializing it.  For a fixed direction P, writing
     a = min over v1 of P . y and b = max over v2 of P . y, a pair (r, t)
     separates both scales exactly when
 
         r + t <= min(a, sigma a)   and   r - t >= max(b, sigma b),
 
-    so the best slack for that P is [min(a, sigma a) - max(b, sigma b)] / 2,
-    capped by the |r| <= 1 box.  Splitting on the signs of a and b removes
-    the mins: three sign regimes (a<=0 with b>=0 can never give positive
-    slack) each become an LP whose vertex rows are all unit-scale and where
-    sigma enters only as a coefficient on the a/b columns.  The best of the
-    three equals the vertex-union optimum.  At sigma = 1 the mins are just
-    a and b, so one LP with a and b free covers all three regimes.
+    capped by the |r| <= 1 box.  A min on the larger side of an inequality
+    is just both of its rows, so one LP is exact for every sigma: over
+    P (|P_m| <= 1), a, b, alpha, beta and tau, maximize tau subject to the
+    vertex rows of ``hull`` and
 
-    For vertices in R^d the LPs have d + 3 variables but one row per vertex
-    of ``hull``, and at most d + 3 rows pin the optimum, so each regime is
-    solved by row generation (Kelley's cutting planes): solve over the
-    working set, check the solution against every vertex row with one
-    product, add the most violated rows and solve again, until no row is
-    violated by more than the simplex tolerance.  The last solution is then
-    an optimum of the full LP, feasible within that tolerance like a direct
-    solve.  The solves of one regime share its pivot budget.  Returns the
-    hyperplane normalized to unit normal (offset and slack rescale with
-    it), plus the geometric slack.
+        alpha <= a,  alpha <= sigma a,  b <= beta,  sigma b <= beta,
+        2 sigma tau <= alpha - beta,  sigma tau <= alpha + 1,
+        sigma tau <= 1 - beta,
+
+    then t = sigma tau and r = (max(beta + t, -1) + min(alpha - t, 1)) / 2.
+    The slack t is proportional to sigma; solving for tau = t / sigma
+    keeps the optimum at the scale of the gap between the hulls however far
+    the contraction goes, where an LP for t itself stops at t = 0 once
+    sigma times the gap falls below the simplex tolerance.  The vertex rows
+    are all unit-scale; sigma enters only as a coefficient of the seven cap
+    rows.
+
+    For vertices in R^d the LP has d + 5 variables but one row per vertex
+    of ``hull``, and at most d + 5 rows pin the optimum, so it is solved by
+    row generation (Kelley's cutting planes): solve over the working set,
+    check the solution against every vertex row with one product, add the
+    most violated rows and solve again, until no row is violated by more
+    than the simplex tolerance.  The last solution is then an optimum of
+    the full LP, feasible within that tolerance like a direct solve.  The
+    solves of one call share its pivot budget.  Returns the hyperplane
+    normalized to unit normal (offset and slack rescale with it), plus the
+    geometric slack.
     """
-    d = hull.rows.shape[1] - 3
-    # variables: P_1..P_d, a, b, t
-    ia, ib, it = d, d + 1, d + 2
-    nv = d + 3
+    d = hull.rows.shape[1] - 5
+    # variables: P_1..P_d, a, b, alpha, beta, tau
+    ia, ib, ial, ibe, itau = range(d, d + 5)
+    nv = d + 5
     obj = np.zeros(nv)
-    obj[it] = 1.0
-    budget = 100 * cfg.max_iter
-
-    def regime(ca: float, cb: float, a_sign: int, b_sign: int):
-        """Solve one sign regime; alpha = ca * a, beta = cb * b there."""
-        caps = np.zeros((3, nv))
-        caps[0, [it, ia, ib]] = 2.0, -ca, cb  # 2t <= alpha - beta
-        caps[1, [it, ia]] = 1.0, -ca  # t <= alpha + 1   (r >= -1)
-        caps[2, [it, ib]] = 1.0, cb  # t <= 1 - beta    (r <= 1)
-        caps_rhs = np.array([0.0, 1.0, 1.0])
-        lower = np.full(nv, -np.inf)
-        upper = np.full(nv, np.inf)
-        lower[:d] = -1.0
-        upper[:d] = 1.0
-        if a_sign > 0:
-            lower[ia] = 0.0
-        elif a_sign < 0:
-            upper[ia] = 0.0
-        if b_sign > 0:
-            lower[ib] = 0.0
-        elif b_sign < 0:
-            upper[ib] = 0.0
-        left = budget
-        while True:
-            rows = np.vstack([hull.rows[hull.work], caps])
-            rhs = np.concatenate([np.zeros(rows.shape[0] - 3), caps_rhs])
-            lp = LinearProgram(obj, rows, LE, rhs, lower=lower, upper=upper)
-            try:
-                out = solve(lp, max_pivots=left)
-            except IterationLimit as exc:
-                raise IterationLimit(
-                    f"hull separation row generation, {budget - left} of {budget} "
-                    f"pivots spent before this solve: {exc}"
-                ) from exc
-            left -= out.pivots
-            # a relaxation with a row per body is bounded, so not optimal
-            # means infeasible, and so is the full LP
-            if out.status is not LpStatus.OPTIMAL:
-                return None
-            if not hull.add_violated(out.solution):
-                return out
-
-    # regimes: (alpha coeff, beta coeff, sign of a, sign of b; 0 leaves it
-    # free); the generic disjoint-cone case a > 0 > b comes first
-    if sigma == 1.0:
-        regimes = ((1.0, 1.0, 0, 0),)
-    else:
-        regimes = ((sigma, sigma, 1, -1), (sigma, 1.0, 1, 1), (1.0, sigma, -1, -1))
-    best = None
-    best_coeff = None
-    for ca, cb, sa, sb in regimes:
-        out = regime(ca, cb, sa, sb)
-        if out is not None and (best is None or out.objective_value > best.objective_value):
-            best = out
-            best_coeff = (ca, cb)
-    if best is None or best.objective_value <= _TOL * sigma:
+    obj[itau] = 1.0
+    caps = np.zeros((7, nv))
+    caps[0, [ial, ia]] = 1.0, -1.0  # alpha <= a
+    caps[1, [ial, ia]] = 1.0, -sigma  # alpha <= sigma a
+    caps[2, [ib, ibe]] = 1.0, -1.0  # b <= beta
+    caps[3, [ib, ibe]] = sigma, -1.0  # sigma b <= beta
+    caps[4, [itau, ial, ibe]] = 2.0 * sigma, -1.0, 1.0  # 2t <= alpha - beta
+    caps[5, [itau, ial]] = sigma, -1.0  # t <= alpha + 1   (r >= -1)
+    caps[6, [itau, ibe]] = sigma, 1.0  # t <= 1 - beta    (r <= 1)
+    caps_rhs = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+    lower = np.full(nv, -np.inf)
+    upper = np.full(nv, np.inf)
+    lower[:d] = -1.0
+    upper[:d] = 1.0
+    budget = left = 100 * cfg.max_iter
+    while True:
+        work = hull.rows[hull.work]
+        rhs = np.concatenate([np.zeros(work.shape[0]), caps_rhs])
+        lp = LinearProgram(obj, np.vstack([work, caps]), LE, rhs, lower=lower, upper=upper)
+        try:
+            out = solve(lp, max_pivots=left)
+        except IterationLimit as exc:
+            raise IterationLimit(
+                f"hull separation row generation, {budget - left} of {budget} "
+                f"pivots spent before this solve: {exc}"
+            ) from exc
+        left -= out.pivots
+        # every relaxation is feasible (tau is free) and bounded (by the
+        # box and one row per body), so not optimal is a numerical breakdown
+        if out.status is not LpStatus.OPTIMAL or not hull.add_violated(out.solution):
+            break
+    if out.status is not LpStatus.OPTIMAL or out.solution[itau] <= _TOL:
         raise ContractionStalled(
             "contracted hull separation LP found no positive slack"
         )
-    p, a, b, t = best.solution[:d], best.solution[ia], best.solution[ib], best.solution[it]
-    alpha, beta = best_coeff[0] * a, best_coeff[1] * b
+    p, alpha, beta = out.solution[:d], out.solution[ial], out.solution[ibe]
+    t = sigma * out.solution[itau]
     r = (max(beta + t, -1.0) + min(alpha - t, 1.0)) / 2.0
     nrm = float(np.linalg.norm(p))
     if nrm <= _TOL:

@@ -270,6 +270,43 @@ def test_band_edge_hemisphericity_is_ambiguous(tmp_path, capsys):
         assert json.loads(out)["status"] == "ambiguous", args
 
 
+# an S^1 pair at dual margin 1.47e-5, drawn like the near-contact pairs of
+# test_separation.py (S^1, target 1e-5, third pair); the proof path once
+# stalled on it with "contracted hull separation LP found no positive slack"
+NEAR_CONTACT_S1 = {
+    "n": 1,
+    "w1": [
+        [0.9611303442642835, -0.2760950222920001],
+        [0.9952296317845807, -0.09756013539314107],
+        [0.9999901213510315, 0.0044449072374170675],
+        [0.9999914461569728, 0.0041361350178849956],
+        [0.999359483395871, 0.03578579252633319],
+        [0.9945780027276667, 0.10399325213803715],
+    ],
+    "w2": [
+        [0.9141641485461179, 0.4053441864797759],
+        [0.994574937662537, 0.104022561848671],
+        [0.9445593937304783, 0.3283406032087894],
+        [0.9737422067389526, 0.22765349726098036],
+        [0.9255724894576528, 0.3785704250983737],
+        [0.9757249324230304, 0.21899967179900712],
+    ],
+}
+
+
+def test_near_contact_pair_exits_0_on_every_route(tmp_path, capsys):
+    path = write_instance(tmp_path, NEAR_CONTACT_S1)
+    b1 = SphericalBody(np.array(NEAR_CONTACT_S1["w1"]))
+    b2 = SphericalBody(np.array(NEAR_CONTACT_S1["w2"]))
+    for args in (("check",), ("witness",), ("witness", "--method", "proof-path")):
+        code, out, err = run_cli(capsys, args[0], path, *args[1:])
+        assert code == 0, (args, err)
+        doc = json.loads(out)
+        assert doc["status"] == "disjoint", args
+        if "witness" in doc:
+            assert wedge_membership(b1, b2, np.array(doc["witness"])).member, args
+
+
 def test_flag_overrides_file_tolerances(tmp_path, capsys):
     doc = dict(DISJOINT_S2)
     doc["tolerances"] = {"offset_tol": 1e-2}

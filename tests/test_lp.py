@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import hypothesis.strategies as st
 import numpy as np
@@ -441,6 +442,58 @@ def _bits_battery_lp(rng):
         objective=rng.standard_normal(nv), constraints=A, relations=rels, rhs=b,
         lower=lower, upper=upper,
     )
+
+
+def _standardize_reference(lp):
+    """Per-variable loop form of lp._standardize, the reference for its
+    array form: the same columns, rows and values, bit for bit."""
+    owner, sign, extra = [], [], []
+    shift = np.zeros(lp.num_vars)
+    for j, (lo, hi) in enumerate(zip(lp.lower.tolist(), lp.upper.tolist())):
+        if lo == 0.0 or (math.isfinite(lo) and lo > 0.0):
+            shift[j] = lo
+            owner.append(j)
+            sign.append(1.0)
+            if math.isfinite(hi):
+                extra.append(({len(owner) - 1: 1.0}, hi - lo))
+        else:
+            owner += [j, j]
+            sign += [1.0, -1.0]
+            p, m = len(owner) - 2, len(owner) - 1
+            if math.isfinite(hi):
+                extra.append(({p: 1.0, m: -1.0}, hi))
+            if math.isfinite(lo):
+                extra.append(({p: -1.0, m: 1.0}, -lo))
+    owner, sign = np.array(owner, dtype=np.intp), np.array(sign)
+    E = np.zeros((len(extra), owner.size))
+    for i, (entries, _) in enumerate(extra):
+        for k, v in entries.items():
+            E[i, k] = v
+    A0 = lp.constraints
+    rhs0 = lp.rhs - np.vecdot(A0, shift) if shift.any() else lp.rhs
+    return (
+        lp.objective[owner] * sign,
+        np.vstack([A0[:, owner] * sign, E]),
+        np.concatenate([lp.code, np.ones(len(extra), dtype=np.intp)]),
+        np.concatenate([rhs0, [b for _, b in extra]]),
+        owner, sign, shift,
+    )
+
+
+def test_standardize_matches_per_variable_reference():
+    # every pairing of lower and upper bound kinds: zero of either sign,
+    # positive, negative and infinite, 1..7 variables, 0..3 rows
+    rng = np.random.default_rng(7)
+    kinds = np.array([0.0, -0.0, 1.5, 2.0, -1.0, -2.5, np.inf, -np.inf])
+    for _ in range(400):
+        nv, m = int(rng.integers(1, 8)), int(rng.integers(0, 4))
+        lower = rng.choice(kinds, nv)
+        upper = np.maximum(lower, rng.choice(kinds, nv))
+        lp = LinearProgram(rng.standard_normal(nv), rng.standard_normal((m, nv)), LE,
+                           rng.standard_normal(m), lower=lower, upper=upper)
+        for got, want in zip(lp_module._standardize(lp), _standardize_reference(lp)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 # sha256 of the battery's outcomes: any change to a pivot, a tie-break or the

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from sphsep.errors import (
     ZeroVector,
 )
 from sphsep.geometry import ToleranceConfig, normalize
-from sphsep.harness import InstanceSpec, Mode, generate
+from sphsep.harness import InstanceSpec, Mode, _cap_body, generate
 from sphsep.lp import _TOL, LE, LinearProgram, LpStatus, solve
 from sphsep.separation import (
     Hyperplane,
@@ -227,9 +229,9 @@ def test_proof_path_contraction_round_cap():
 
 
 @pytest.mark.parametrize("dim, seed, offsets, margin", [
-    (1, 0, [0.36450194977558015, 0.006196091141028443], 0.11373708207788742),
-    (2, 10, [0.3245321157576641, 0.03882515251353512], 0.17605789610406397),
-])
+    (1, 0, [0.36450194977558015, 0.006196091141028432], 0.11373708207788748),
+    (2, 10, [0.3245321157576645, 0.038825152513535084], 0.17605789610406422),
+], ids=["S1-seed0", "S2-seed10"])  # named by case, so a re-pin keeps the ids
 def test_proof_path_rounds_after_offset_below_tol(dim, seed, offsets, margin):
     # with offset_tol = 0.5 the first offset is already below it, but the
     # margins are not yet strict, so the path contracts once more
@@ -239,6 +241,49 @@ def test_proof_path_rounds_after_offset_below_tol(dim, seed, offsets, margin):
     assert trace.iterations == 1
     assert cert.margin == margin
     assert wedge_membership(b1, b2, cert.witness).member
+
+
+def _near_contact_pairs(n, target, count):
+    """count pairs of 6 + 6 generator caps of spread 0.4 around e0 on S^n
+    (rng seed 17), body 2 rotated in the (e0, e1) plane by an angle bisected
+    until the dual_witness margin lies in [target, 2 target); a draw whose
+    bisection never lands there is skipped."""
+    rng = np.random.default_rng(17)
+    e0 = np.eye(n + 1)[0]
+    pairs = []
+    while len(pairs) < count:
+        b1 = SphericalBody(_cap_body(rng, e0, 6, 0.4))
+        g2 = _cap_body(rng, e0, 6, 0.4)
+        lo, hi = 0.0, math.pi
+        for _ in range(100):
+            theta = (lo + hi) / 2
+            rot = np.eye(n + 1)
+            rot[:2, :2] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+            b2 = SphericalBody(g2 @ rot.T)
+            try:
+                cert = dual_witness(b1, b2)
+                margin = cert.margin if cert.kind == "disjoint" else -1.0
+            except NumericallyAmbiguous:
+                margin = 0.0
+            if target <= margin < 2 * target:
+                pairs.append((b1, b2))
+                break
+            lo, hi = (theta, hi) if margin < target else (lo, theta)
+    return pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_proof_path_near_contact(n):
+    # Pairs at dual margins 1e-4 and 1e-5, 10^4 to 10^5 times margin_tol:
+    # the contraction rounds' optimal slack t shrinks with sigma, so an LP
+    # solved for t itself stops at t = 0 below the simplex tolerance and
+    # the proof path stalls ("found no positive slack") on clearly disjoint
+    # bodies.  Solved for tau = t / sigma, every pair gets a witness.
+    for target in (1e-4, 1e-5):
+        for b1, b2 in _near_contact_pairs(n, target, 10):
+            cert, _ = proof_path_witness(b1, b2)
+            assert cert.kind == "disjoint"
+            assert wedge_membership(b1, b2, cert.witness).member, target
 
 
 def _proof_path_pin_cases():
@@ -253,7 +298,7 @@ def _proof_path_pin_cases():
 # sha256 of the proof path's fattening radii, offsets, witnesses and margins
 # over _proof_path_pin_cases: any change to the fattening search, a hull
 # separation or the contraction schedule changes it
-_PROOF_PATH_SHA256 = "12cf71eff75effcddf3eacc7704b1db5a94caf07fe6e90f870420205404fdd0c"
+_PROOF_PATH_SHA256 = "afcf52df8bfd06acf8a3022fe8bc43d79a84704f3bad92d8914ef8434a0bd232"
 
 
 def test_proof_path_bits_pinned():
@@ -268,12 +313,13 @@ def test_proof_path_bits_pinned():
 
 
 # vertex-set centres and contraction factor: hulls on opposite sides of the
-# origin (sign regime a > 0 > b) at every sigma, then hulls on one side, where
-# only a mild contraction keeps them apart (regimes a, b > 0 and a, b < 0)
+# origin (a > 0 > b, where the contracted copies bind) at every sigma, then
+# hulls on one side, where only a mild contraction keeps them apart (a, b > 0
+# and a, b < 0, where min(a, sigma a) and max(b, sigma b) pick the other copy)
 _UNION_CASES = [((3.0, 0.0), (-3.0, 1.0), s) for s in (0.5, 0.1, 1e-3)] + [
     ((10.0, 0.0), (2.0, 0.0), 0.5),
     ((2.0, 0.0), (10.0, 0.0), 0.5),
-    # sigma = 1, the proof path's first separation: one LP with a and b free
+    # sigma = 1, the proof path's first separation, where the copies coincide
     ((3.0, 0.0), (-3.0, 1.0), 1.0),
     ((10.0, 0.0), (2.0, 0.0), 1.0),
     ((2.0, 0.0), (10.0, 0.0), 1.0),
@@ -326,34 +372,36 @@ def _proof_path_vertices(monkeypatch, n, m):
 @pytest.mark.parametrize("n", [5, 8])
 def test_row_generation_reaches_full_lp_optimum(monkeypatch, n):
     # On the S^5 and S^8 24+24 proof paths (240+240 and 384+384 fattened
-    # vertex rows) each sign-regime LP, solved over a working set carried
-    # across sigma, must end at an optimum of the regime LP with every
-    # vertex row, and the best regime at the max-slack separation of the
-    # materialized unions v u sigma v.  Vertex enumeration cannot reach
-    # programs this size, so optimality is certified by LP duality.
+    # vertex rows) the contracted separation LP, solved over a working set
+    # carried across sigma, must end at an optimum of the LP with every
+    # vertex row, and at the max-slack separation of the materialized unions
+    # v u sigma v.  Vertex enumeration cannot reach programs this size, so
+    # optimality is certified by LP duality.
     with monkeypatch.context() as mp:
         v1, v2 = _proof_path_vertices(mp, n, 24)
     assert v1.shape[0] == v2.shape[0] == 24 * 2 * n
     cfg = ToleranceConfig()
     hull = _HullRows(v1, v2)
     for sigma in (1.0, 1e-2, 1e-5):
-        finals = []
+        solves = []
 
         def spy(lp, *args, **kwargs):
             out = solve(lp, *args, **kwargs)
-            if out.status is LpStatus.OPTIMAL and np.max(hull.rows @ out.solution) <= _TOL:
-                finals.append((lp, out.solution))  # the last solve of a regime
+            solves.append((lp, out))
             return out
 
         with monkeypatch.context() as mp:
             mp.setattr(sphsep.separation, "solve", spy)
             hyp, slack = _separating_hyperplane_contracted(hull, sigma, cfg)
-        assert len(finals) == (1 if sigma == 1.0 else 3)
-        for lp, x in finals:
-            every_row = np.vstack([hull.rows, lp.constraints[-3:]])
-            rhs = np.concatenate([np.zeros(hull.rows.shape[0]), lp.rhs[-3:]])
-            full = LinearProgram(lp.objective, every_row, LE, rhs, lp.lower, lp.upper)
-            assert lp_optimal_at(full, x), sigma
+        lp, out = solves[-1]  # the last solve of the row generation
+        assert out.status is LpStatus.OPTIMAL
+        assert np.max(hull.rows @ out.solution) <= _TOL, sigma
+        # the rows past the working set are the cap rows
+        caps = slice(int(hull.work.sum()), None)
+        every_row = np.vstack([hull.rows, lp.constraints[caps]])
+        rhs = np.concatenate([np.zeros(hull.rows.shape[0]), lp.rhs[caps]])
+        full = LinearProgram(lp.objective, every_row, LE, rhs, lp.lower, lp.upper)
+        assert lp_optimal_at(full, out.solution), sigma
 
         u1, u2 = np.vstack([v1, sigma * v1]), np.vstack([v2, sigma * v2])
         ones = -np.ones((u1.shape[0], 1))
@@ -366,18 +414,22 @@ def test_row_generation_reaches_full_lp_optimum(monkeypatch, n):
 
 def test_hull_solves_see_a_few_dozen_rows(monkeypatch):
     # the S^8 24+24 proof path separates 384+384 fattened vertices, yet no
-    # LP it solves has more than a few dozen rows
+    # LP it solves has more than a few dozen rows; every separation, the
+    # first and one per contraction round, takes at least one solve
     rows = []
+    hull_solves = []
 
     def spy(lp, *args, **kwargs):
         rows.append(len(lp.constraints))
+        if sys._getframe(1).f_code.co_name == "_separating_hyperplane_contracted":
+            hull_solves.append(len(lp.constraints))
         return solve(lp, *args, **kwargs)
 
     monkeypatch.setattr(sphsep.separation, "solve", spy)
     b1, b2 = generate(InstanceSpec(dimension=8, k1=24, k2=24, seed=11, mode=Mode.FORCE_DISJOINT))
     cert, trace = proof_path_witness(b1, b2)
     assert cert.margin > 0 and trace.iterations >= 1
-    assert len(rows) > 3 * trace.iterations
+    assert len(hull_solves) >= trace.iterations + 1
     assert max(rows) <= 48, rows
 
 
