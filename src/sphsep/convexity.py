@@ -181,6 +181,24 @@ def hemisphericity_witness(
     return pole
 
 
+def _require_hemispherical(
+    body: SphericalBody, cfg: ToleranceConfig = DEFAULT_CONFIG
+) -> None:
+    """Raise NotHemispherical unless the body sits in an open hemisphere.
+
+    For callers that need the fact but not the pole.  The normalized sum of
+    the generators is tried first: one product proves the body
+    hemispherical when its unit-scale margin min_j P . Q_j exceeds
+    margin_tol.  Otherwise hemisphericity_witness decides, by its LP.
+    """
+    g = body.generators
+    total = g.sum(axis=0)
+    norm = float(np.linalg.norm(total))
+    if norm > _UNIT_TOL and float(np.min(g @ (total / norm))) > cfg.margin_tol:
+        return
+    hemisphericity_witness(body, cfg)
+
+
 def project_body(
     body: SphericalBody,
     frame: TangentFrame,

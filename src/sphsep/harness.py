@@ -299,7 +299,13 @@ def run_equivalence_campaign(
         report.instances += 1
         try:
             b1, b2, c1, c2 = _generate_with_centers(spec, cfg)
-            inter = primal_intersect(b1, b2, cfg, w1=c1, w2=c2)
+            # a force-disjoint draw is returned only once this very cone LP
+            # said None, so it is not solved a second time
+            inter = (
+                None
+                if mode is Mode.FORCE_DISJOINT
+                else primal_intersect(b1, b2, cfg, w1=c1, w2=c2)
+            )
             dual_cert = dual_witness(b1, b2, cfg, w1=c1, w2=c2)
         except GenerationFailed as exc:
             report.disagreements += 1

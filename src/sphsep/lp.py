@@ -127,12 +127,19 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Result of ``solve``; ``pivots`` counts the pivots it spent."""
+    """Result of ``solve``; ``pivots`` counts the pivots it spent.
+
+    ``duals`` holds one multiplier per row of the program as given (>= 0
+    on "<=" rows, <= 0 on ">=" rows), read off the optimal cost row; it is
+    set only for optimal programs that needed no phase 1, whose rows all
+    become "<=" rows with a slack once oriented to a nonnegative rhs.
+    """
 
     status: LpStatus
     solution: np.ndarray | None = None
     objective_value: float | None = None
     pivots: int = 0
+    duals: np.ndarray | None = None
 
 
 # sign of a variable's first and second standard column
@@ -255,8 +262,12 @@ def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
     """Solve ``lp`` by two-phase simplex.
 
     Optimal outcomes are feasible within _TOL (1e-10); infeasibility means
-    the phase-1 optimum exceeded it.  Identical inputs produce bit-identical
-    outcomes.  Raises IterationLimit past ``max_pivots`` total pivots.
+    the phase-1 optimum exceeded it.  When no row needs an artificial
+    variable (every row, oriented to a nonnegative rhs, is a "<=" row),
+    there is no phase 1, and the row duals are the optimal reduced costs
+    of the slack columns, negated on rows the orientation flipped.
+    Identical inputs produce bit-identical outcomes.  Raises IterationLimit
+    past ``max_pivots`` total pivots.
     """
     c, A, code, rhs, owner, sign, shift = _standardize(lp)
     m, ns = A.shape
@@ -329,9 +340,16 @@ def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
     x_std = np.zeros(T.shape[1] - 1)
     x_std[basis] = T[:m, -1]
     x = np.bincount(owner, weights=sign * x_std[:ns], minlength=lp.num_vars) + shift
+    duals = None
+    if not n_art:
+        # slack column of row i is ns + i; the program's rows come first
+        m0 = lp.constraints.shape[0]
+        y = T[-1, ns : ns + m0]
+        duals = np.where(flip[:m0], -y, y)
     return LpOutcome(
         status=LpStatus.OPTIMAL,
         solution=x,
         objective_value=float(lp.objective @ x),
         pivots=budget.used,
+        duals=duals,
     )

@@ -28,6 +28,7 @@ import numpy as np
 from .convexity import (
     SphericalBody,
     _pole_lp,
+    _require_hemispherical,
     fatten,
     hemisphericity_witness,
     project_body,
@@ -151,17 +152,22 @@ def primal_intersect(
 
     where P1 is a hemisphericity witness of b1.  A common hull point is a
     common cone ray; the last row pins its scale (valid because any point of
-    hull(b1) has positive dot with P1).  Infeasibility of this system is the
-    disjointness certificate.
+    hull(b1) has positive dot with P1), so lam is normalized by
+    P1 . (sum lam Q) = 1.  Infeasibility of this system is the disjointness
+    certificate.
 
-    Precomputed hemisphericity witnesses may be passed to skip their LPs;
-    both bodies are otherwise checked (NotHemispherical propagates).  A
-    passed w2 is never read: it only marks body 2 as checked.
+    Precomputed hemisphericity witnesses may be passed to skip their work;
+    both bodies are otherwise checked (NotHemispherical propagates).  P1 is
+    the LP witness of hemisphericity_witness.  Body 2's witness is never
+    read, so it is only required to exist (_require_hemispherical: a
+    product with the generator sum, the LP only when that pole fails); a
+    passed w2 just marks body 2 as checked.  Without passed witnesses the
+    call solves the cone LP and one or two hemisphericity LPs.
     """
     _require_same_dimension(b1, b2)
     p1 = hemisphericity_witness(b1, cfg) if w1 is None else w1
     if w2 is None:
-        hemisphericity_witness(b2, cfg)  # precondition check only
+        _require_hemispherical(b2, cfg)
     g1, g2 = b1.generators, b2.generators
     m1, m2 = g1.shape[0], g2.shape[0]
     d = g1.shape[1]
@@ -212,20 +218,31 @@ def dual_witness(
     w1: np.ndarray | None = None,
     w2: np.ndarray | None = None,
 ) -> SeparationCertificate:
-    """Margin-maximizing pole, or an intersection certificate.
+    """Margin-maximizing pole, or an intersection certificate, from one LP.
 
-    The pole LP comes first, on the rows (Q, -R): maximize t subject to
-    P . Q_j >= t, P . R_k <= -t, |P_m| <= 1, t free.  The pole is
-    renormalized to the sphere (sign conditions survive), and disjointness
-    is certified when it is a wedge member (wedge_membership).  That pole
-    is the whole certificate: it also shows both bodies hemispherical (P for
-    body 1, -P for body 2), so no hemisphericity LP is solved.  Only when it
-    does not certify are the hemisphericity witnesses found (unless passed
-    as w1/w2; NotHemispherical propagates) and the primal oracle consulted:
-    its intersecting certificate is returned as it is, while
-    primal disjointness together with a marginal optimum is reported as
-    NumericallyAmbiguous -- the strict inequalities are undecidable at this
-    tolerance.
+    The pole LP, on the rows (Q, -R): maximize t subject to P . Q_j >= t,
+    P . R_k <= -t, |P_m| <= 1, t free.  The pole is renormalized to the
+    sphere (sign conditions survive), and disjointness is certified when it
+    is a wedge member (wedge_membership).  That pole is the whole
+    certificate: it also shows both bodies hemispherical (P for body 1, -P
+    for body 2), so no hemisphericity LP is solved.
+
+    Otherwise the same LP's row duals are read (Gordan's alternative).  Its
+    dual is: minimize |sum lam Q - sum mu R|_1 over lam, mu >= 0 with
+    sum lam + sum mu = 1, so at t = 0 the duals are coefficients of a
+    common point.  They are accepted when both sums exceed the simplex
+    tolerance, the residual sum lam Q - sum mu R is within it in max-norm
+    and sum lam Q is not (near) zero; the intersecting certificate is then
+    common_point = normalize(sum lam Q) with lam and mu as they come
+    (sum lam + sum mu = 1), after both bodies are checked hemispherical
+    (_require_hemispherical, skipped for a passed w1/w2; NotHemispherical
+    propagates).  An intersecting pair so costs one LP plus, for a body
+    whose generator sum is not a pole, a hemisphericity LP.
+
+    When the duals are no certificate either, primal_intersect decides: its
+    intersecting certificate is returned as it is, while primal disjointness
+    together with a marginal optimum is reported as NumericallyAmbiguous --
+    the strict inequalities are undecidable at this tolerance.
     """
     _require_same_dimension(b1, b2)
     g1, g2 = b1.generators, b2.generators
@@ -237,6 +254,27 @@ def dual_witness(
         if unit.member:
             return SeparationCertificate(kind="disjoint", witness=witness, margin=unit.margin)
         t = unit.margin
+    if out.duals is not None:
+        # the rows are ">=" rows of a maximization, so their duals are <= 0;
+        # at the optimum each is within _TOL of that sign, and clipping the
+        # roundoff leaves y >= 0
+        y = -out.duals
+        y[(y >= -_TOL) & (y < 0.0)] = 0.0
+        lam, mu = y[: g1.shape[0]], y[g1.shape[0] :]
+        point = lam @ g1
+        if (
+            lam.sum() > _TOL
+            and mu.sum() > _TOL
+            and np.max(np.abs(point - mu @ g2)) <= _TOL
+            and np.linalg.norm(point) > _UNIT_TOL
+        ):
+            if w1 is None:
+                _require_hemispherical(b1, cfg)
+            if w2 is None:
+                _require_hemispherical(b2, cfg)
+            return SeparationCertificate(
+                kind="intersecting", common_point=normalize(point), lam=lam, mu=mu
+            )
     # primal_intersect finds whichever hemisphericity witness was not passed
     inter = primal_intersect(b1, b2, cfg, w1=w1, w2=w2)
     if inter is not None:

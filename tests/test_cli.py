@@ -270,6 +270,42 @@ def test_band_edge_hemisphericity_is_ambiguous(tmp_path, capsys):
         assert json.loads(out)["status"] == "ambiguous", args
 
 
+def _orthogonal_caps_s5():
+    # the benchmark's first fault probe (perfbench/inputs.py probe_a): 40+40
+    # generators on S^5 in caps of spread 0.4 around orthogonal centres,
+    # with a one-round budget (pivot cap 100)
+    rng = np.random.default_rng(12)
+
+    def tangent(c):
+        v = rng.standard_normal(c.size)
+        v -= (v @ c) * c
+        return v / np.linalg.norm(v)
+
+    def cap(c, k):
+        rows = []
+        for _ in range(k):
+            theta = rng.uniform(0.0, 0.4)
+            rows.append(np.cos(theta) * c + np.sin(theta) * tangent(c))
+        return np.array(rows)
+
+    c1 = rng.standard_normal(6)
+    c1 /= np.linalg.norm(c1)
+    c2 = tangent(c1)
+    w1, w2 = cap(c1, 40), cap(c2, 40)
+    return {"n": 5, "w1": w1.tolist(), "w2": w2.tolist(), "tolerances": {"max_iter": 1}}
+
+
+def test_benchmark_fault_probes_keep_their_exit_codes(tmp_path, capsys):
+    # check, witness --method lp and witness --method proof-path: the
+    # orthogonal caps answer disjoint twice and overrun the proof path's
+    # budget; the band-edge instance above is ambiguous on every route
+    path = write_instance(tmp_path, _orthogonal_caps_s5())
+    codes = [run_cli(capsys, args[0], path, *args[1:])[0]
+             for args in (("check",), ("witness", "--method", "lp"),
+                          ("witness", "--method", "proof-path"))]
+    assert codes == [0, 0, 5]
+
+
 # an S^1 pair at dual margin 1.47e-5, drawn like the near-contact pairs of
 # test_separation.py (S^1, target 1e-5, third pair); the proof path once
 # stalled on it with "contracted hull separation LP found no positive slack"
@@ -427,19 +463,37 @@ def test_disjoint_witness_lp_solves_one_lp(tmp_path, capsys, solve_sites):
     code, out, _ = run_cli(capsys, "witness", path, "--method", "lp")
     assert code == 0 and json.loads(out)["status"] == "disjoint"
     assert len(solve_sites) == 1
-    # check stays the cone oracle: two hemisphericity LPs and the cone LP
+    # check stays the cone oracle: body 1's hemisphericity LP (its witness
+    # scales the cone LP) and the cone LP; body 2's generator sum is a pole
     solve_sites.clear()
     code, _, _ = run_cli(capsys, "check", path)
     assert code == 0
-    assert len(solve_sites) == 3
+    assert solve_sites == ["hemisphericity_witness", "primal_intersect"]
 
 
-def test_intersecting_witness_lp_solves_four_lps(tmp_path, capsys, solve_sites):
-    # pole LP, then both hemisphericity LPs and the cone LP
+def test_intersecting_witness_lp_solves_one_lp(tmp_path, capsys, solve_sites):
+    # the pole LP's duals are the intersecting certificate, and each body's
+    # generator is its own pole: no hemisphericity LP and no cone LP, where
+    # the cone route made 4 solves
     path = write_instance(tmp_path, {"n": 1, "w1": [[0.6, 0.8]], "w2": [[0.6, 0.8]]})
-    code, _, _ = run_cli(capsys, "witness", path, "--method", "lp")
+    code, out, _ = run_cli(capsys, "witness", path, "--method", "lp")
     assert code == 2
-    assert len(solve_sites) == 4
+    assert solve_sites == ["dual_witness"]
+    doc = json.loads(out)
+    assert doc["lambda"] == doc["mu"] == [0.5]
+    assert np.allclose(doc["common_point"], [0.6, 0.8])
+
+
+def test_non_hemispherical_body_2_exits_3(tmp_path, capsys):
+    # the bodies share (1, 0, 0), so the pole LP's duals certify a common
+    # point, but body 2 holds an antipodal pair: both routes check it and
+    # answer ambiguous
+    doc = {"n": 2, "w1": [[1, 0, 0], [0, 1, 0]], "w2": [[1, 0, 0], [-1, 0, 0], [0, 0, 1]]}
+    path = write_instance(tmp_path, doc)
+    for argv in (["check"], ["witness", "--method", "lp"]):
+        code, out, _ = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == 3, argv
+        assert json.loads(out)["status"] == "ambiguous"
 
 
 @st.composite

@@ -132,6 +132,25 @@ def test_campaign_optimal_outcomes_are_feasible(monkeypatch, count, dims, sizes)
     assert not bad, f"{len(bad)} of {len(residuals)} (residual, rows): {bad[-3:]}"
 
 
+def test_campaign_solves_each_cone_lp_once(monkeypatch):
+    # generation already solved the cone LP of a force-disjoint instance
+    # (that is how it knows the draw is disjoint); the campaign reuses it
+    # and asks the cone oracle only about the other modes' instances
+    import sphsep.harness
+
+    asked = []
+
+    def spy(b1, b2, *args, **kwargs):
+        asked.append((b1, b2))
+        return primal_intersect(b1, b2, *args, **kwargs)
+
+    monkeypatch.setattr(sphsep.harness, "primal_intersect", spy)
+    report = run_equivalence_campaign(16, [1, 2], [3], seed=5)
+    assert report.agreements == 16
+    pairs = [(id(b1), id(b2)) for b1, b2 in asked]
+    assert len(pairs) == len(set(pairs))
+
+
 def test_campaign_mode_cycle_produces_both_kinds():
     report = run_equivalence_campaign(40, [2], [3], seed=11)
     assert report.disjoint > 0

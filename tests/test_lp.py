@@ -288,6 +288,56 @@ def test_matches_vertex_enumeration_oracle():
     assert optimal >= 20  # the generator should not be degenerate
 
 
+def _no_phase_one_lp(rng):
+    """A program that needs no phase 1: "<=" rows with rhs >= 0 and ">="
+    rows with rhs <= 0 (the ones solve flips), over 0 <= x <= 10.  A last
+    "<=" row caps sum x at 5, so the upper bounds never bind and the row
+    duals alone carry the dual optimum."""
+    nv, nc = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+    rels = [str(r) for r in rng.choice([LE, GE], size=nc)] + [LE]
+    A = np.vstack([rng.standard_normal((nc, nv)), np.ones(nv)])
+    b = np.append(rng.uniform(0.0, 2.0, nc) * rng.choice([0.0, 1.0], nc, p=[0.2, 0.8]), 5.0)
+    b[: nc][np.array(rels[:nc]) == GE] *= -1.0
+    return LinearProgram(rng.standard_normal(nv), A, rels, b,
+                         lower=np.zeros(nv), upper=np.full(nv, 10.0))
+
+
+def test_row_duals_certify_the_optimum():
+    # checked independently of the tableau: sign conditions, reduced costs
+    # c - A^T y <= 0 (x >= 0 is the only binding bound), complementary
+    # slackness on rows and columns, and b^T y equal to the optimum found
+    # by vertex enumeration
+    rng = np.random.default_rng(31)
+    flipped = 0
+    for _ in range(80):
+        lp = _no_phase_one_lp(rng)
+        out = solve(lp)
+        assert out.status is LpStatus.OPTIMAL
+        y, x = out.duals, out.solution
+        ge = lp.relations == GE
+        flipped += int(ge.sum())
+        assert y.shape == (lp.constraints.shape[0],)
+        assert np.all(y[~ge] >= -1e-10) and np.all(y[ge] <= 1e-10)
+        reduced = lp.objective - lp.constraints.T @ y
+        assert np.all(reduced <= 1e-9)
+        assert np.max(np.abs(y * (lp.constraints @ x - lp.rhs))) <= 1e-9
+        assert np.max(np.abs(reduced * x)) <= 1e-9
+        _, best = lp_oracle(lp)
+        assert abs(float(lp.rhs @ y) - best) <= 1e-8
+    assert flipped >= 40
+
+
+def test_row_duals_only_without_phase_one():
+    box = dict(lower=np.zeros(2), upper=np.full(2, 3.0))
+    for rel, rhs in ((EQ, 1.0), (GE, 1.0), (LE, -1.0)):
+        out = solve(LinearProgram(np.ones(2), np.array([[1.0, -1.0]]), rel, [rhs], **box))
+        assert out.status is LpStatus.OPTIMAL and out.duals is None
+    out = solve(LinearProgram(np.ones(2), np.array([[1.0, 1.0]]), LE, [-1.0], **box))
+    assert out.status is LpStatus.INFEASIBLE and out.duals is None
+    out = solve(LinearProgram(np.ones(2), **box))
+    assert out.duals.shape == (0,)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_solution_feasibility_property(seed):

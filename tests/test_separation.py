@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphsep.convexity
 import sphsep.separation
 from sphsep.convexity import SphericalBody, _pole_lp, hemisphericity_witness
 from sphsep.errors import (
@@ -499,29 +500,101 @@ def test_disjoint_dual_witness_solves_only_the_pole_lp(solve_sites, dim):
     assert solve_sites == ["dual_witness"]
 
 
-def test_intersecting_dual_witness_solves_four_lps(solve_sites):
+def test_intersecting_dual_witness_solves_one_lp(solve_sites):
+    # the pole LP's duals are the intersecting certificate, and each cap's
+    # generator sum is a pole, so neither a hemisphericity LP nor the cone
+    # LP runs, where the cone route made 4 solves
     spec = InstanceSpec(dimension=3, k1=6, k2=5, seed=2, mode=Mode.FORCE_INTERSECTING)
     b1, b2 = generate(spec)
     w1, w2 = hemisphericity_witness(b1), hemisphericity_witness(b2)
     solve_sites.clear()
     assert dual_witness(b1, b2).kind == "intersecting"
-    assert solve_sites == ["dual_witness", "hemisphericity_witness",
-                           "hemisphericity_witness", "primal_intersect"]
-    # passed witnesses are used, not solved for again
+    assert solve_sites == ["dual_witness"]
     solve_sites.clear()
     assert dual_witness(b1, b2, w1=w1, w2=w2).kind == "intersecting"
-    assert solve_sites == ["dual_witness", "primal_intersect"]
+    assert solve_sites == ["dual_witness"]
 
 
-def test_primal_intersect_keeps_its_three_lps(solve_sites):
-    # the cone oracle stays independent of the pole LP
+def test_primal_intersect_solves_hemisphericity_and_cone_lps(solve_sites):
+    # the cone oracle stays independent of the pole LP: body 1's witness
+    # scales it and comes from its LP; body 2's witness is never read, and
+    # its generator sum proves it hemispherical
     for b1, b2 in (disjoint_pair(seed=1, dim=3),
                    generate(InstanceSpec(dimension=3, k1=4, k2=4, seed=1,
                                          mode=Mode.FORCE_INTERSECTING))):
         solve_sites.clear()
         primal_intersect(b1, b2)
-        assert solve_sites == ["hemisphericity_witness", "hemisphericity_witness",
-                               "primal_intersect"]
+        assert solve_sites == ["hemisphericity_witness", "primal_intersect"]
+
+
+def _lopsided_s1_body():
+    # 30 generators within 3e-8 rad of angle 0 and one at pi - 0.1: the
+    # body spans an arc shorter than pi, so it is hemispherical, but the
+    # generator sum points near angle 0 and sees the last one at a negative dot
+    angles = np.append(1e-9 * np.arange(30), np.pi - 0.1)
+    return SphericalBody(np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+def test_generator_sum_that_is_no_pole_falls_back_to_the_lp(monkeypatch):
+    body = _lopsided_s1_body()
+    g = body.generators
+    total = g.sum(axis=0)
+    assert g.shape[0] == 31 and np.min(g @ total) < 0.0
+    calls = []
+
+    def spy(b, *args):
+        calls.append(b)
+        return hemisphericity_witness(b, *args)
+
+    for module in (sphsep.convexity, sphsep.separation):
+        monkeypatch.setattr(module, "hemisphericity_witness", spy)
+    # the other body shares the generator at angle 0, and its own generator
+    # sum is a pole: the lopsided body alone needs the LP, on the cone route
+    # (where it is body 2, after body 1's witness LP) and on the dual one
+    shared = SphericalBody(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    assert primal_intersect(shared, body).kind == "intersecting"
+    assert calls == [shared, body]
+    calls.clear()
+    cert = dual_witness(body, shared)
+    assert cert.kind == "intersecting" and calls == [body]
+    assert cert.lam.min() >= 0.0 and cert.mu.min() >= 0.0
+    assert _dual_outcome(dual_witness_oracle, body, shared)[0] == "intersecting"
+    # disjoint: the fallback runs, and the verdict is the same as before
+    far = SphericalBody(np.array([[np.cos(-1.5), np.sin(-1.5)]]))
+    calls.clear()
+    assert primal_intersect(far, body) is None and calls == [far, body]
+    assert _dual_outcome(dual_witness, far, body) == _dual_outcome(dual_witness_oracle, far, body)
+
+
+def _oracles_style_pairs(count, seed):
+    """Pairs on S^3..S^12 with 16..64 generators per body, in each of the
+    three modes, as the benchmark's oracles workload draws them."""
+    modes = (Mode.FORCE_DISJOINT, Mode.FORCE_INTERSECTING, Mode.UNCONSTRAINED)
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k1, k2 = (int(k) for k in rng.integers(16, 65, size=2))
+        yield generate(InstanceSpec(dimension=3 + i % 10, k1=k1, k2=k2,
+                                    seed=int(rng.integers(2**31)), mode=modes[i % 3]))
+
+
+def test_pole_lp_duals_are_a_gordan_certificate():
+    # on intersecting pairs the pole LP's duals give sum lam Q = sum mu R
+    # with lam, mu >= 0 summing to 1, without the cone LP
+    seen = 0
+    for b1, b2 in _oracles_style_pairs(60, seed=12):
+        cert = dual_witness(b1, b2)
+        if cert.kind != "intersecting":
+            continue
+        seen += 1
+        lam, mu = cert.lam, cert.mu
+        assert lam.min() >= 0.0 and mu.min() >= 0.0
+        assert lam.sum() > 0.0 and mu.sum() > 0.0
+        assert abs(lam.sum() + mu.sum() - 1.0) <= 1e-12
+        point = lam @ b1.generators
+        assert np.max(np.abs(point - mu @ b2.generators)) <= 1e-12
+        assert np.allclose(cert.common_point, normalize(point), atol=1e-15)
+        assert primal_intersect(b1, b2) is not None
+    assert seen >= 20
 
 
 def _band_pair():
@@ -570,11 +643,26 @@ def _dual_outcome(fn, b1, b2, **kwargs):
 
 
 def test_certificate_first_matches_hemisphericity_first_order():
+    # disjoint verdicts and errors are those of the hemisphericity-first
+    # order, bit for bit; an intersecting verdict now comes from the pole
+    # LP's duals instead of the cone LP, so its coefficients differ, but it
+    # must still be a certificate
     kinds = set()
     for b1, b2 in _order_cases():
         got = _dual_outcome(dual_witness, b1, b2)
-        assert got == _dual_outcome(dual_witness_oracle, b1, b2)
-        kinds.add(got if isinstance(got, type) else got[0])
+        want = _dual_outcome(dual_witness_oracle, b1, b2)
+        kind = got if isinstance(got, type) else got[0]
+        kinds.add(kind)
+        if kind != "intersecting":
+            assert got == want
+        else:
+            assert want[0] == "intersecting"
+            cert = dual_witness(b1, b2)
+            assert cert.lam.min() >= 0.0 and cert.mu.min() >= 0.0
+            p, q = cert.lam @ b1.generators, cert.mu @ b2.generators
+            assert np.linalg.norm(p) > 0.0
+            assert np.allclose(normalize(p), normalize(q), atol=1e-12)
+            assert np.allclose(cert.common_point, normalize(p), atol=1e-15)
         if isinstance(got, tuple):
             # passing the witnesses changes nothing either
             w1, w2 = hemisphericity_witness(b1), hemisphericity_witness(b2)
