@@ -193,14 +193,12 @@ def _cmd_witness(args) -> int:
             )
             return 0
         # proof-path route: settle intersection first, then construct
-        w1 = hemisphericity_witness(b1, cfg)
-        w2 = hemisphericity_witness(b2, cfg)
-        inter = primal_intersect(b1, b2, cfg, w1=w1, w2=w2)
+        inter = primal_intersect(b1, b2, cfg)
         if inter is not None:
             _emit(_intersection_doc(inter))
             return 2
         try:
-            cert, trace = proof_path_witness(b1, b2, cfg, w1=w1, w2=w2)
+            cert, trace = proof_path_witness(b1, b2, cfg)
         except (EpsilonSearchFailed, ContractionStalled, IterationLimit) as exc:
             return _fail(f"constructive witness route failed: {exc}", 5)
         _emit(
@@ -255,6 +253,8 @@ def _cmd_fuzz(args) -> int:
             raise _InputError("dimensions must be >= 1")
         if any(s < 1 for s in sizes):
             raise _InputError("sizes must be >= 1")
+        if args.count < 0:
+            raise _InputError("count must be >= 0")
         cfg = _tolerances_from({}, args)
     except _InputError as exc:
         return _fail(str(exc), 4)
@@ -315,17 +315,16 @@ def _hull_edges_2d(points: np.ndarray) -> list[tuple[int, int]]:
     return [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
 
 
-def _body_scene(body: SphericalBody, cfg: ToleranceConfig) -> tuple[dict, np.ndarray]:
-    """Scene entry of one body, plus the hemisphericity witness it was
-    projected along (reused by the caller for the dual pole LP)."""
+def _body_scene(body: SphericalBody, cfg: ToleranceConfig) -> dict:
+    """Scene entry of one body: its generators and the arcs of its hull
+    edges, found by projecting along its hemisphericity witness."""
     gens = body.generators
-    witness = hemisphericity_witness(body, cfg)
-    frame = orthonormal_frame(witness)
+    frame = orthonormal_frame(hemisphericity_witness(body, cfg))
     flat = project_body(body, frame, cfg).vertices
     arcs = [
         _slerp(gens[i], gens[j], _ARC_SAMPLES) for i, j in _hull_edges_2d(flat)
     ]
-    return {"generators": [_coords(g) for g in gens], "arcs": arcs}, witness
+    return {"generators": [_coords(g) for g in gens], "arcs": arcs}
 
 
 def _cmd_plot(args) -> int:
@@ -336,11 +335,9 @@ def _cmd_plot(args) -> int:
     if b1.n != 2:
         return _fail(f"plot supports S^2 scenes only, instance is on S^{b1.n}", 4)
     try:
-        scene1, w1 = _body_scene(b1, cfg)
-        scene2, w2 = _body_scene(b2, cfg)
-        scene = {"bodies": [scene1, scene2]}
+        scene = {"bodies": [_body_scene(b1, cfg), _body_scene(b2, cfg)]}
         try:
-            cert = dual_witness(b1, b2, cfg, w1=w1, w2=w2)
+            cert = dual_witness(b1, b2, cfg)
         except NumericallyAmbiguous:
             cert = None
         if cert is not None and cert.kind == "disjoint":

@@ -18,7 +18,13 @@ from enum import Enum
 import numpy as np
 
 from .convexity import SphericalBody
-from .errors import GenerationFailed, IterationLimit, NumericallyAmbiguous, SphSepError
+from .errors import (
+    GenerationFailed,
+    IterationLimit,
+    NotHemispherical,
+    NumericallyAmbiguous,
+    SphSepError,
+)
 from .geometry import DEFAULT_CONFIG, ToleranceConfig, normalize
 from .separation import (
     dual_witness,
@@ -122,7 +128,7 @@ def _generate_with_centers(
     # Mode.FORCE_DISJOINT: pull center 2 to an increasing angle from center 1
     # and regenerate body 2 until the cone oracle confirms disjointness
     for attempt in range(_MAX_DISJOINT_ATTEMPTS):
-        if primal_intersect(b1, b2, cfg, w1=c1, w2=c2) is None:
+        if primal_intersect(b1, b2, cfg) is None:
             return b1, b2, c1, c2
         phi = min(2.0 * spec.spread + 0.25 * (attempt + 1), math.pi - 0.05)
         c2 = math.cos(phi) * c1 + math.sin(phi) * _random_tangent(rng, c1)
@@ -278,9 +284,10 @@ def run_equivalence_campaign(
 
     Dimensions round-robin; modes cycle unconstrained, force-disjoint,
     unconstrained, force-intersecting; generator counts are drawn from
-    sizes.  Ambiguous instances (separation margin inside the tolerance
-    band) are counted and skipped rather than classified, and so are
-    instances whose LPs overrun the pivot budget, each with a failure entry.
+    sizes.  Ambiguous instances (separation margin, or a body's
+    hemisphericity margin, inside the tolerance band) are counted and
+    skipped rather than classified, and so are instances whose LPs overrun
+    the pivot budget, each with a failure entry.
     Single-threaded
     and sequential, so the report is trivially deterministic.
     """
@@ -304,14 +311,14 @@ def run_equivalence_campaign(
             inter = (
                 None
                 if mode is Mode.FORCE_DISJOINT
-                else primal_intersect(b1, b2, cfg, w1=c1, w2=c2)
+                else primal_intersect(b1, b2, cfg)
             )
-            dual_cert = dual_witness(b1, b2, cfg, w1=c1, w2=c2)
+            dual_cert = dual_witness(b1, b2, cfg)
         except GenerationFailed as exc:
             report.disagreements += 1
             report.failures.append(f"{tag}: generation failed: {exc}")
             continue
-        except NumericallyAmbiguous:
+        except (NumericallyAmbiguous, NotHemispherical):
             report.ambiguous += 1
             continue
         except IterationLimit as exc:

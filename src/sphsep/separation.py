@@ -39,6 +39,7 @@ from .errors import (
     DimensionMismatch,
     EpsilonSearchFailed,
     IterationLimit,
+    NotHemispherical,
     NumericallyAmbiguous,
     ZeroVector,
 )
@@ -93,7 +94,8 @@ class SeparationCertificate:
     kind "disjoint": ``witness`` is a unit pole with witness . Q >= margin on
     body 1 and witness . R <= -margin on body 2, margin > 0.
     kind "intersecting": ``common_point`` = normalize(sum lam Q) =
-    normalize(sum mu R) with nonnegative coefficients.
+    normalize(sum mu R) with nonnegative coefficients lam and mu, normalized
+    by sum lam + sum mu = 1 on every route.
     """
 
     kind: str
@@ -138,8 +140,6 @@ def primal_intersect(
     b1: SphericalBody,
     b2: SphericalBody,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    w1: np.ndarray | None = None,
-    w2: np.ndarray | None = None,
 ) -> SeparationCertificate | None:
     """Do the closed spherical hulls meet?  None means provably disjoint;
     otherwise the intersecting certificate, with the common point and the
@@ -147,27 +147,20 @@ def primal_intersect(
 
     Solves the cone feasibility system
 
-        lambda, mu >= 0,   sum lambda_j Q_j - sum mu_k R_k = 0,
-        P1 . (sum lambda_j Q_j) = 1
+        lambda, mu >= 0,   sum lambda_j Q_j - sum mu_k R_k = 0,   sum lambda_j = 1:
 
-    where P1 is a hemisphericity witness of b1.  A common hull point is a
-    common cone ray; the last row pins its scale (valid because any point of
-    hull(b1) has positive dot with P1), so lam is normalized by
-    P1 . (sum lam Q) = 1.  Infeasibility of this system is the disjointness
-    certificate.
-
-    Precomputed hemisphericity witnesses may be passed to skip their work;
-    both bodies are otherwise checked (NotHemispherical propagates).  P1 is
-    the LP witness of hemisphericity_witness.  Body 2's witness is never
-    read, so it is only required to exist (_require_hemispherical: a
-    product with the generator sum, the LP only when that pole fails); a
-    passed w2 just marks body 2 as checked.  Without passed witnesses the
-    call solves the cone LP and one or two hemisphericity LPs.
+    a common hull point is a common cone ray, and the last row pins its
+    scale.  Body 1 being hemispherical keeps sum lam Q away from 0, and body
+    2 being hemispherical then forces sum mu > 0, so infeasibility is the
+    disjointness certificate.  The solution is divided by its sum: lam and
+    mu are normalized as on every route, sum lam + sum mu = 1.  Both bodies
+    are checked by _require_hemispherical (NotHemispherical propagates); no
+    pole is read, so where the generator sums are poles the cone LP is the
+    only LP.
     """
     _require_same_dimension(b1, b2)
-    p1 = hemisphericity_witness(b1, cfg) if w1 is None else w1
-    if w2 is None:
-        _require_hemispherical(b2, cfg)
+    _require_hemispherical(b1, cfg)
+    _require_hemispherical(b2, cfg)
     g1, g2 = b1.generators, b2.generators
     m1, m2 = g1.shape[0], g2.shape[0]
     d = g1.shape[1]
@@ -175,7 +168,7 @@ def primal_intersect(
     A = np.zeros((d + 1, m1 + m2))
     A[:d, :m1] = g1.T
     A[:d, m1:] = -g2.T
-    A[d, :m1] = g1 @ p1
+    A[d, :m1] = 1.0
     rhs = np.zeros(d + 1)
     rhs[d] = 1.0
     out = solve(
@@ -184,9 +177,10 @@ def primal_intersect(
     )
     if out.status is not LpStatus.OPTIMAL:
         return None
-    lam, mu = out.solution[:m1], out.solution[m1:]
+    y = out.solution / out.solution.sum()
+    lam, mu = y[:m1], y[m1:]
     return SeparationCertificate(
-        kind="intersecting", common_point=normalize(g1.T @ lam), lam=lam, mu=mu
+        kind="intersecting", common_point=normalize(lam @ g1), lam=lam, mu=mu
     )
 
 
@@ -215,8 +209,6 @@ def dual_witness(
     b1: SphericalBody,
     b2: SphericalBody,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    w1: np.ndarray | None = None,
-    w2: np.ndarray | None = None,
 ) -> SeparationCertificate:
     """Margin-maximizing pole, or an intersection certificate, from one LP.
 
@@ -234,10 +226,10 @@ def dual_witness(
     tolerance, the residual sum lam Q - sum mu R is within it in max-norm
     and sum lam Q is not (near) zero; the intersecting certificate is then
     common_point = normalize(sum lam Q) with lam and mu as they come
-    (sum lam + sum mu = 1), after both bodies are checked hemispherical
-    (_require_hemispherical, skipped for a passed w1/w2; NotHemispherical
-    propagates).  An intersecting pair so costs one LP plus, for a body
-    whose generator sum is not a pole, a hemisphericity LP.
+    (sum lam + sum mu = 1, as primal_intersect normalizes its own), after
+    both bodies are checked hemispherical (_require_hemispherical;
+    NotHemispherical propagates).  An intersecting pair so costs one LP
+    plus, for a body whose generator sum is not a pole, a hemisphericity LP.
 
     When the duals are no certificate either, primal_intersect decides: its
     intersecting certificate is returned as it is, while primal disjointness
@@ -268,15 +260,12 @@ def dual_witness(
             and np.max(np.abs(point - mu @ g2)) <= _TOL
             and np.linalg.norm(point) > _UNIT_TOL
         ):
-            if w1 is None:
-                _require_hemispherical(b1, cfg)
-            if w2 is None:
-                _require_hemispherical(b2, cfg)
+            _require_hemispherical(b1, cfg)
+            _require_hemispherical(b2, cfg)
             return SeparationCertificate(
                 kind="intersecting", common_point=normalize(point), lam=lam, mu=mu
             )
-    # primal_intersect finds whichever hemisphericity witness was not passed
-    inter = primal_intersect(b1, b2, cfg, w1=w1, w2=w2)
+    inter = primal_intersect(b1, b2, cfg)
     if inter is not None:
         return inter
     raise NumericallyAmbiguous(
@@ -432,7 +421,8 @@ def proof_path_witness(
 
     Pipeline: (1) hemisphericity witnesses and tangent frames; central
     projection of both bodies.  (2) Halving search for a fattening radius
-    epsilon0 whose fattened pullbacks stay disjoint (starting at 0.5).
+    epsilon0 whose fattened pullbacks stay hemispherical and disjoint
+    (starting at 0.5).
     (3) Max-slack hyperplane between the Euclidean hulls of the fattened
     pullback generators: the contracted separation at sigma = 1.  (4) One
     contraction loop, which runs while the offset magnitude is >= offset_tol
@@ -469,9 +459,12 @@ def proof_path_witness(
     for _ in range(cfg.max_iter):
         cand1 = pullback(fatten(poly1, eps))
         cand2 = pullback(fatten(poly2, eps))
-        if primal_intersect(cand1, cand2, cfg, w1=f1.base, w2=f2.base) is None:
-            x1, x2 = cand1, cand2
-            break
+        try:
+            if primal_intersect(cand1, cand2, cfg) is None:
+                x1, x2 = cand1, cand2
+                break
+        except NotHemispherical:
+            pass  # fattened out of every hemisphere of margin margin_tol
         eps *= 0.5
     if x1 is None:
         raise EpsilonSearchFailed(

@@ -6,9 +6,11 @@ or, where that is out of reach, from an LP duality certificate checked by
 nonnegative least squares; hull membership from Caratheodory subset
 enumeration, duplicate rows from a pairwise loop, and openness-probe
 margins from a per-sample loop.  Slow but obviously correct at test scale.
-The one exception is dual_witness_oracle: it keeps the earlier order of
-dual_witness (both hemisphericity LPs before the pole LP) on the same
-solver, as the reference the certificate-first order must reproduce.
+The exceptions are two earlier forms of library routes, kept on the same
+solver as references the current forms must reproduce: dual_witness_oracle
+keeps the earlier order of dual_witness (both hemisphericity LPs before the
+pole LP), and primal_intersect_oracle the cone LP scaled by body 1's
+hemisphericity pole.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import itertools
 
 import numpy as np
 
-from sphsep.convexity import _pole_lp, hemisphericity_witness
+from sphsep.convexity import _pole_lp, _require_hemispherical, hemisphericity_witness
 from sphsep.errors import DimensionMismatch, NumericallyAmbiguous
 from sphsep.geometry import DEFAULT_CONFIG, normalize
 from sphsep.lp import EQ, GE, LE, LinearProgram, LpStatus, solve
-from sphsep.separation import SeparationCertificate, primal_intersect, wedge_membership
+from sphsep.separation import SeparationCertificate, wedge_membership
 
 
 def lp_residual(lp: LinearProgram, x: np.ndarray) -> float:
@@ -218,16 +220,43 @@ def openness_probe_oracle(b1, b2, p, k: int, cfg=DEFAULT_CONFIG, rng=None) -> fl
     return worst
 
 
-def dual_witness_oracle(b1, b2, cfg=DEFAULT_CONFIG, w1=None, w2=None):
-    """dual_witness in its earlier, hemisphericity-first order: both
-    witnesses (unless passed), then the pole LP, then the cone LP.  Kept
-    to show that solving the pole LP first changes no answer."""
+def primal_intersect_oracle(b1, b2, cfg=DEFAULT_CONFIG):
+    """primal_intersect with its earlier scale row: the cone LP
+    sum lam Q - sum mu R = 0 is pinned by P1 . sum lam Q = 1, where P1 is
+    body 1's hemisphericity LP witness, and body 2 need only be
+    hemispherical.  lam and mu come as the LP gives them, not normalized."""
     if b1.n != b2.n:
         raise DimensionMismatch("bodies live on different spheres")
-    if w1 is None:
-        w1 = hemisphericity_witness(b1, cfg)
-    if w2 is None:
-        w2 = hemisphericity_witness(b2, cfg)
+    p1 = hemisphericity_witness(b1, cfg)
+    _require_hemispherical(b2, cfg)
+    g1, g2 = b1.generators, b2.generators
+    m1, d = g1.shape
+    A = np.zeros((d + 1, m1 + g2.shape[0]))
+    A[:d, :m1] = g1.T
+    A[:d, m1:] = -g2.T
+    A[d, :m1] = g1 @ p1
+    rhs = np.zeros(d + 1)
+    rhs[d] = 1.0
+    out = solve(
+        LinearProgram(objective=np.zeros(A.shape[1]), constraints=A, relations=EQ, rhs=rhs),
+        max_pivots=100 * cfg.max_iter,
+    )
+    if out.status is not LpStatus.OPTIMAL:
+        return None
+    lam, mu = out.solution[:m1], out.solution[m1:]
+    return SeparationCertificate(
+        kind="intersecting", common_point=normalize(g1.T @ lam), lam=lam, mu=mu
+    )
+
+
+def dual_witness_oracle(b1, b2, cfg=DEFAULT_CONFIG):
+    """dual_witness in its earlier, hemisphericity-first order: both
+    witnesses, then the pole LP, then the pole-scaled cone LP.  Kept to
+    show that solving the pole LP first changes no answer."""
+    if b1.n != b2.n:
+        raise DimensionMismatch("bodies live on different spheres")
+    hemisphericity_witness(b1, cfg)
+    hemisphericity_witness(b2, cfg)
     g1, g2 = b1.generators, b2.generators
     out = solve(_pole_lp(np.vstack([g1, -g2])), max_pivots=100 * cfg.max_iter)
     t = out.objective_value if out.status is LpStatus.OPTIMAL else 0.0
@@ -236,7 +265,7 @@ def dual_witness_oracle(b1, b2, cfg=DEFAULT_CONFIG, w1=None, w2=None):
         t = float(min(np.min(g1 @ witness), -np.max(g2 @ witness)))
         if t > cfg.margin_tol:
             return SeparationCertificate(kind="disjoint", witness=witness, margin=t)
-    inter = primal_intersect(b1, b2, cfg, w1=w1, w2=w2)
+    inter = primal_intersect_oracle(b1, b2, cfg)
     if inter is not None:
         return inter
     raise NumericallyAmbiguous(f"separation margin {t:.3e} within the tolerance band")

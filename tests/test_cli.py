@@ -406,6 +406,7 @@ def test_fuzz_deep_check_failure_exit_code(capsys, monkeypatch):
         ("--dims", "0"),
         ("--sizes", "3..1"),
         ("--sizes", "-2"),
+        ("--count", "-1"),
     ],
 )
 def test_fuzz_rejects_bad_lists(capsys, flags):
@@ -439,8 +440,8 @@ def test_plot_scene_structure(tmp_path, capsys):
 
 
 def test_plot_solves_each_hemisphericity_lp_once(tmp_path, capsys, monkeypatch):
-    # the two witnesses found for projecting the bodies are handed on to the
-    # dual pole LP instead of being solved for again
+    # each body's witness is solved for once, to project it; the dual pole
+    # LP of a disjoint pair needs no hemisphericity LP
     calls = []
 
     def spy(*args, **kwargs):
@@ -463,12 +464,12 @@ def test_disjoint_witness_lp_solves_one_lp(tmp_path, capsys, solve_sites):
     code, out, _ = run_cli(capsys, "witness", path, "--method", "lp")
     assert code == 0 and json.loads(out)["status"] == "disjoint"
     assert len(solve_sites) == 1
-    # check stays the cone oracle: body 1's hemisphericity LP (its witness
-    # scales the cone LP) and the cone LP; body 2's generator sum is a pole
+    # check stays the cone oracle, whose LP reads no pole; both generator
+    # sums are poles, so no hemisphericity LP runs
     solve_sites.clear()
     code, _, _ = run_cli(capsys, "check", path)
     assert code == 0
-    assert solve_sites == ["hemisphericity_witness", "primal_intersect"]
+    assert solve_sites == ["primal_intersect"]
 
 
 def test_intersecting_witness_lp_solves_one_lp(tmp_path, capsys, solve_sites):
@@ -482,6 +483,14 @@ def test_intersecting_witness_lp_solves_one_lp(tmp_path, capsys, solve_sites):
     doc = json.loads(out)
     assert doc["lambda"] == doc["mu"] == [0.5]
     assert np.allclose(doc["common_point"], [0.6, 0.8])
+    # the proof-path route settles an intersecting pair by the cone LP
+    # alone, with the same normalization, where it made 3 solves (both
+    # hemisphericity LPs, then the cone LP)
+    solve_sites.clear()
+    code, out, _ = run_cli(capsys, "witness", path, "--method", "proof-path")
+    assert code == 2
+    assert solve_sites == ["primal_intersect"]
+    assert json.loads(out)["lambda"] == json.loads(out)["mu"] == [0.5]
 
 
 def test_non_hemispherical_body_2_exits_3(tmp_path, capsys):

@@ -151,6 +151,18 @@ def test_campaign_solves_each_cone_lp_once(monkeypatch):
     assert len(pairs) == len(set(pairs))
 
 
+def test_campaign_counts_bodies_not_hemispherical_within_the_band_as_ambiguous():
+    # caps of spread 0.4 are hemispherical only with margin cos(0.4) < 0.95,
+    # so at margin_tol 0.95 the cone and dual routes refuse them; the
+    # campaign counts those instances as ambiguous instead of aborting, and
+    # the proof path halves its fattening radius until the fattened bodies
+    # pass the same check
+    report = run_equivalence_campaign(8, [1, 2], [3], seed=5, cfg=ToleranceConfig(margin_tol=0.95))
+    assert report.instances == 8 and report.disagreements == 0
+    assert report.ambiguous > 0 and report.disjoint > 0
+    assert report.failures == [] and report.checks["proof_path"] == report.disjoint
+
+
 def test_campaign_mode_cycle_produces_both_kinds():
     report = run_equivalence_campaign(40, [2], [3], seed=11)
     assert report.disjoint > 0

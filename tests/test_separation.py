@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import sys
 
@@ -24,6 +25,7 @@ from sphsep.harness import InstanceSpec, Mode, _cap_body, generate
 from sphsep.lp import _TOL, LE, LinearProgram, LpStatus, solve
 from sphsep.separation import (
     Hyperplane,
+    SeparationCertificate,
     _HullRows,
     _separating_hyperplane_contracted,
     dual_witness,
@@ -39,6 +41,7 @@ from .oracles import (
     lp_optimal_at,
     lp_oracle,
     openness_probe_oracle,
+    primal_intersect_oracle,
     separates,
 )
 
@@ -506,25 +509,20 @@ def test_intersecting_dual_witness_solves_one_lp(solve_sites):
     # LP runs, where the cone route made 4 solves
     spec = InstanceSpec(dimension=3, k1=6, k2=5, seed=2, mode=Mode.FORCE_INTERSECTING)
     b1, b2 = generate(spec)
-    w1, w2 = hemisphericity_witness(b1), hemisphericity_witness(b2)
     solve_sites.clear()
     assert dual_witness(b1, b2).kind == "intersecting"
     assert solve_sites == ["dual_witness"]
-    solve_sites.clear()
-    assert dual_witness(b1, b2, w1=w1, w2=w2).kind == "intersecting"
-    assert solve_sites == ["dual_witness"]
 
 
-def test_primal_intersect_solves_hemisphericity_and_cone_lps(solve_sites):
-    # the cone oracle stays independent of the pole LP: body 1's witness
-    # scales it and comes from its LP; body 2's witness is never read, and
-    # its generator sum proves it hemispherical
+def test_primal_intersect_solves_only_the_cone_lp(solve_sites):
+    # the cone LP is scaled by sum lam = 1 and reads no pole, and each
+    # cap's generator sum proves its body hemispherical
     for b1, b2 in (disjoint_pair(seed=1, dim=3),
                    generate(InstanceSpec(dimension=3, k1=4, k2=4, seed=1,
                                          mode=Mode.FORCE_INTERSECTING))):
         solve_sites.clear()
         primal_intersect(b1, b2)
-        assert solve_sites == ["hemisphericity_witness", "primal_intersect"]
+        assert solve_sites == ["primal_intersect"]
 
 
 def _lopsided_s1_body():
@@ -550,10 +548,10 @@ def test_generator_sum_that_is_no_pole_falls_back_to_the_lp(monkeypatch):
         monkeypatch.setattr(module, "hemisphericity_witness", spy)
     # the other body shares the generator at angle 0, and its own generator
     # sum is a pole: the lopsided body alone needs the LP, on the cone route
-    # (where it is body 2, after body 1's witness LP) and on the dual one
+    # and on the dual one
     shared = SphericalBody(np.array([[1.0, 0.0], [0.0, -1.0]]))
     assert primal_intersect(shared, body).kind == "intersecting"
-    assert calls == [shared, body]
+    assert calls == [body]
     calls.clear()
     cert = dual_witness(body, shared)
     assert cert.kind == "intersecting" and calls == [body]
@@ -562,7 +560,7 @@ def test_generator_sum_that_is_no_pole_falls_back_to_the_lp(monkeypatch):
     # disjoint: the fallback runs, and the verdict is the same as before
     far = SphericalBody(np.array([[np.cos(-1.5), np.sin(-1.5)]]))
     calls.clear()
-    assert primal_intersect(far, body) is None and calls == [far, body]
+    assert primal_intersect(far, body) is None and calls == [body]
     assert _dual_outcome(dual_witness, far, body) == _dual_outcome(dual_witness_oracle, far, body)
 
 
@@ -633,9 +631,9 @@ def _order_cases():
            SphericalBody(np.array([[np.cos(a), -np.sin(a)]])))
 
 
-def _dual_outcome(fn, b1, b2, **kwargs):
+def _dual_outcome(fn, b1, b2):
     try:
-        cert = fn(b1, b2, **kwargs)
+        cert = fn(b1, b2)
     except SphSepError as exc:
         return type(exc)
     fields = (cert.witness, cert.margin, cert.lam, cert.mu, cert.common_point)
@@ -663,8 +661,34 @@ def test_certificate_first_matches_hemisphericity_first_order():
             assert np.linalg.norm(p) > 0.0
             assert np.allclose(normalize(p), normalize(q), atol=1e-12)
             assert np.allclose(cert.common_point, normalize(p), atol=1e-15)
-        if isinstance(got, tuple):
-            # passing the witnesses changes nothing either
-            w1, w2 = hemisphericity_witness(b1), hemisphericity_witness(b2)
-            assert _dual_outcome(dual_witness, b1, b2, w1=w1, w2=w2) == got
     assert kinds == {"disjoint", "intersecting", NotHemispherical, NumericallyAmbiguous}
+
+
+def test_primal_intersect_matches_the_pole_scaled_cone_lp():
+    # scaling the cone LP by sum lam = 1 instead of by body 1's pole changes
+    # no verdict and no error, and its certificate is normalized like the
+    # pole LP's duals
+    kinds = set()
+    pairs = itertools.chain(_order_cases(), _oracles_style_pairs(60, seed=12))
+    for b1, b2 in pairs:
+        try:
+            got = primal_intersect(b1, b2)
+        except SphSepError as exc:
+            got = type(exc)
+        try:
+            want = primal_intersect_oracle(b1, b2)
+        except SphSepError as exc:
+            want = type(exc)
+        if isinstance(got, SeparationCertificate):
+            assert isinstance(want, SeparationCertificate)
+            lam, mu = got.lam, got.mu
+            assert lam.min() >= 0.0 and mu.min() >= 0.0
+            assert abs(lam.sum() + mu.sum() - 1.0) <= 1e-12
+            point = lam @ b1.generators
+            assert np.max(np.abs(point - mu @ b2.generators)) <= 1e-12
+            assert np.array_equal(got.common_point, normalize(point))
+            got = "intersecting"
+        else:
+            assert got == want
+        kinds.add(got)
+    assert kinds == {None, "intersecting", NotHemispherical}
