@@ -26,7 +26,7 @@ from .geometry import (
     central_project,
     normalize,
 )
-from .lp import GE, LinearProgram, LpStatus, solve
+from .lp import LE, LinearProgram, LpOutcome, LpStatus, solve
 
 __all__ = [
     "SphericalBody",
@@ -136,24 +136,58 @@ class TangentPolytope:
 
 
 def _pole_lp(rows: np.ndarray) -> LinearProgram:
-    """maximize t subject to x . row >= t for every row, |x_k| <= 1, t free.
+    """The pole LP in polar form: maximize sum y subject to
+    -w <= rows^T y <= w, sum w <= 1, y, w >= 0.
 
     The LP behind the hemisphericity and dual poles: generator rows give
-    the hemisphericity LP, rows (Q, -R) the dual pole LP.  At a
-    positive optimum some |x_k| is 1, so normalizing x to the unit sphere
-    can only shrink the margin t.
+    the hemisphericity LP, rows (Q, -R) the dual pole LP.  It is the LP dual
+    of "minimize max_k |x_k| subject to x . row >= 1 for every row", so its
+    2k + 1 rows count the k coordinates, not the generators, and each is a
+    "<=" row with rhs >= 0: no phase 1.  The variables are y (one per row)
+    and then w (one per coordinate).  Read by _pole_margin.
     """
     m, k = rows.shape
-    obj = np.zeros(k + 1)
-    obj[-1] = 1.0
+    A = np.zeros((2 * k + 1, m + k))
+    A[:k, :m] = rows.T
+    A[k : 2 * k, :m] = -rows.T
+    A[: 2 * k, m:] = -np.vstack([np.eye(k), np.eye(k)])
+    A[-1, m:] = 1.0
+    rhs = np.zeros(2 * k + 1)
+    rhs[-1] = 1.0
     return LinearProgram(
-        objective=obj,
-        constraints=np.hstack([rows, -np.ones((m, 1))]),
-        relations=GE,
-        rhs=np.zeros(m),
-        lower=np.concatenate([-np.ones(k), [-np.inf]]),
-        upper=np.concatenate([np.ones(k), [np.inf]]),
+        objective=np.concatenate([np.ones(m), np.zeros(k)]),
+        constraints=A,
+        relations=LE,
+        rhs=rhs,
     )
+
+
+def _pole_margin(out: LpOutcome, k: int) -> tuple[float, np.ndarray | None]:
+    """(t, x) from a solved _pole_lp over k coordinates: the largest margin
+    t of min_j x . row_j over the box |x_k| <= 1, and the pole x.
+
+    A bounded optimum v gives t = 1/v, and the duals u+, u- of the two
+    blocks of coordinate rows give x = u+ - u-, with x . row_j >= 1 and
+    max |x_k| <= v.  An unbounded program has rows^T y = 0 for some y >= 0,
+    y != 0 (Gordan's alternative): no pole, t = 0 and x None.  Near that
+    alternative the optimal basis is ill-conditioned (v = 1/t grows), so
+    the duals can lose the sign conditions; callers judge the normalized
+    pole by direct dots.
+    """
+    if out.status is not LpStatus.OPTIMAL:
+        return 0.0, None
+    return 1.0 / out.objective_value, out.duals[:k] - out.duals[k : 2 * k]
+
+
+def _sum_margin(g: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """(margin, pole) of the normalized generator sum: min_j P . Q_j at unit
+    scale, or (-inf, None) when the sum is (near) zero."""
+    total = g.sum(axis=0)
+    norm = float(np.linalg.norm(total))
+    if norm <= _UNIT_TOL:
+        return -np.inf, None
+    pole = total / norm
+    return float(np.min(g @ pole)), pole
 
 
 def hemisphericity_witness(
@@ -161,18 +195,24 @@ def hemisphericity_witness(
 ) -> np.ndarray:
     """Unit pole P with P . Q > 0 for every generator Q, or NotHemispherical.
 
-    Solves the pole LP on the generator rows: maximize t subject to
-    P . Q_j >= t for all j, with box bounds |P_k| <= 1 and t free.  The
-    maximizing P is normalized to the sphere, and the body counts as sitting
-    inside an open hemisphere only when min_j P . Q_j still exceeds
-    margin_tol at unit scale.
+    Solves the pole LP (_pole_lp) on the generator rows, whose optimum is
+    the pole maximizing min_j P . Q_j over the box |P_k| <= 1.  That pole is
+    normalized to the sphere, and the body counts as sitting inside an open
+    hemisphere when min_j P . Q_j still exceeds margin_tol at unit scale.
+    The box optimum is not the best unit-scale margin, so when the LP pole
+    misses margin_tol at unit scale the normalized generator sum is tried
+    before giving up.
     """
     g = body.generators
     out = solve(_pole_lp(g), max_pivots=100 * cfg.max_iter)
-    margin = out.objective_value if out.status is LpStatus.OPTIMAL else 0.0
+    margin, x = _pole_margin(out, g.shape[1])
     if margin > cfg.margin_tol:
-        pole = normalize(out.solution[:-1])
+        pole = normalize(x)
         margin = float(np.min(g @ pole))
+        if margin <= cfg.margin_tol:
+            sum_margin, sum_pole = _sum_margin(g)
+            if sum_margin > margin:
+                margin, pole = sum_margin, sum_pole
     if margin <= cfg.margin_tol:
         raise NotHemispherical(
             f"no open hemisphere contains all {g.shape[0]} generators "
@@ -191,12 +231,8 @@ def _require_hemispherical(
     hemispherical when its unit-scale margin min_j P . Q_j exceeds
     margin_tol.  Otherwise hemisphericity_witness decides, by its LP.
     """
-    g = body.generators
-    total = g.sum(axis=0)
-    norm = float(np.linalg.norm(total))
-    if norm > _UNIT_TOL and float(np.min(g @ (total / norm))) > cfg.margin_tol:
-        return
-    hemisphericity_witness(body, cfg)
+    if _sum_margin(body.generators)[0] <= cfg.margin_tol:
+        hemisphericity_witness(body, cfg)
 
 
 def project_body(

@@ -13,8 +13,12 @@ tableau keeps one slack column per row, so its size grows with the square
 of the row count; the proof path's hull separations, with one row per
 fattened vertex (2n per generator on S^n, thousands on large bodies), are
 never put into it whole but solved by row generation, a few dozen rows at
-a time (see separation._separating_hyperplane_contracted).  No external
-solver is used anywhere.
+a time (see separation._separating_hyperplane_contracted), and the pole LP
+is posed in its polar form, whose rows count coordinates rather than
+generators (see convexity._pole_lp).  Besides the solution, an outcome
+carries the row duals of a program without phase 1 and the recession ray
+of an unbounded one, which is how the pole LP's two certificates are read.
+No external solver is used anywhere.
 """
 
 from __future__ import annotations
@@ -133,6 +137,13 @@ class LpOutcome:
     on "<=" rows, <= 0 on ">=" rows), read off the optimal cost row; it is
     set only for optimal programs that needed no phase 1, whose rows all
     become "<=" rows with a slack once oriented to a nonnegative rhs.
+
+    ``ray`` is set on unbounded programs: a recession direction d of the
+    program as given, the simplex edge along which the objective grew
+    without bound.  Every row holds per relation in direction (A d <= 0 on
+    "<=" rows, >= 0 on ">=" rows, = 0 on "=" rows), a finite lower (upper)
+    bound keeps d_j >= 0 (<= 0), and objective . d > 0, all within the
+    simplex tolerance.
     """
 
     status: LpStatus
@@ -140,6 +151,7 @@ class LpOutcome:
     objective_value: float | None = None
     pivots: int = 0
     duals: np.ndarray | None = None
+    ray: np.ndarray | None = None
 
 
 # sign of a variable's first and second standard column
@@ -219,9 +231,10 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
 _BLAND_AFTER = 50
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, budget: _PivotBudget) -> str:
-    """Dantzig pricing with a Bland fallback.  Returns 'optimal' or
-    'unbounded'.
+def _run_simplex(T: np.ndarray, basis: np.ndarray, budget: _PivotBudget) -> int | None:
+    """Dantzig pricing with a Bland fallback.  Returns None at an optimum,
+    or the entering column when no row can leave (the program is unbounded
+    along that column's edge).
 
     The entering column has the most negative reduced cost (smallest index
     on ties).  The leaving row has the smallest ratio, ties broken by the
@@ -244,11 +257,11 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, budget: _PivotBudget) -> str:
         bland = degenerate >= _BLAND_AFTER
         col = (cost < -_TOL).argmax() if bland else cost.argmin()
         if not cost[col] < -_TOL:
-            return "optimal"
+            return None
         column = T[:m, col]
         pos = (column > _TOL).nonzero()[0]
         if pos.size == 0:
-            return "unbounded"
+            return int(col)
         ratios = rhs[pos] / column[pos]
         ties = pos[ratios == ratios.min()]
         row = ties[basis[ties].argmin()] if bland else ties[column[ties].argmax()]
@@ -265,7 +278,9 @@ def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
     the phase-1 optimum exceeded it.  When no row needs an artificial
     variable (every row, oriented to a nonnegative rhs, is a "<=" row),
     there is no phase 1, and the row duals are the optimal reduced costs
-    of the slack columns, negated on rows the orientation flipped.
+    of the slack columns, negated on rows the orientation flipped.  An
+    unbounded outcome carries the edge direction of its last entering
+    column, mapped back to the program's variables, as ``ray``.
     Identical inputs produce bit-identical outcomes.  Raises IterationLimit
     past ``max_pivots`` total pivots.
     """
@@ -303,8 +318,7 @@ def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
         # phase 1: maximize -(sum of artificials)
         T[-1, :] = -T[art_rows].sum(axis=0)
         T[-1, art_cols] += 1.0
-        status = _run_simplex(T, basis, budget)
-        if status != "optimal":
+        if _run_simplex(T, basis, budget) is not None:
             raise IterationLimit("phase 1 reported unbounded; numerical breakdown")
         if T[-1, -1] < -_TOL:
             return LpOutcome(status=LpStatus.INFEASIBLE, pivots=budget.used)
@@ -333,9 +347,15 @@ def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
     cb = c_ext[basis]
     for i in np.flatnonzero(cb != 0.0):
         T[-1] += cb[i] * T[i]
-    status = _run_simplex(T, basis, budget)
-    if status == "unbounded":
-        return LpOutcome(status=LpStatus.UNBOUNDED, pivots=budget.used)
+    col = _run_simplex(T, basis, budget)
+    if col is not None:
+        # the edge leaving the final vertex: the entering column rises at
+        # rate 1 and each basic variable at -T[i, col] >= -_TOL
+        d = np.zeros(T.shape[1] - 1)
+        d[col] = 1.0
+        d[basis] = -T[:m, col]
+        ray = np.bincount(owner, weights=sign * d[:ns], minlength=lp.num_vars)
+        return LpOutcome(status=LpStatus.UNBOUNDED, pivots=budget.used, ray=ray)
 
     x_std = np.zeros(T.shape[1] - 1)
     x_std[basis] = T[:m, -1]

@@ -28,6 +28,7 @@ import numpy as np
 from .convexity import (
     SphericalBody,
     _pole_lp,
+    _pole_margin,
     _require_hemispherical,
     fatten,
     hemisphericity_witness,
@@ -212,59 +213,63 @@ def dual_witness(
 ) -> SeparationCertificate:
     """Margin-maximizing pole, or an intersection certificate, from one LP.
 
-    The pole LP, on the rows (Q, -R): maximize t subject to P . Q_j >= t,
-    P . R_k <= -t, |P_m| <= 1, t free.  The pole is renormalized to the
-    sphere (sign conditions survive), and disjointness is certified when it
-    is a wedge member (wedge_membership).  That pole is the whole
-    certificate: it also shows both bodies hemispherical (P for body 1, -P
-    for body 2), so no hemisphericity LP is solved.
+    The pole LP (_pole_lp) on the rows (Q, -R), in polar form: maximize
+    sum y subject to -w <= sum lam Q - sum mu R <= w, sum w <= 1, with
+    y = (lam, mu) >= 0 and w >= 0.  A bounded optimum v gives the margin
+    t = 1/v of the best pole in the box |P_m| <= 1, P . Q_j >= t and
+    P . R_k <= -t, and the pole comes from the LP's row duals.  It is
+    renormalized to the sphere (sign conditions survive), and disjointness
+    is certified when it is a wedge member (wedge_membership).  That pole is
+    the whole certificate: it also shows both bodies hemispherical (P for
+    body 1, -P for body 2), so no hemisphericity LP is solved.
 
-    Otherwise the same LP's row duals are read (Gordan's alternative).  Its
-    dual is: minimize |sum lam Q - sum mu R|_1 over lam, mu >= 0 with
-    sum lam + sum mu = 1, so at t = 0 the duals are coefficients of a
-    common point.  They are accepted when both sums exceed the simplex
+    Otherwise the same LP carries the intersecting certificate (Gordan's
+    alternative): an unbounded program's recession ray has
+    sum lam Q = sum mu R exactly, and in the band a bounded optimum's y
+    leaves a residual of at most t.  Either is clipped of roundoff and
+    divided by its sum, so sum lam + sum mu = 1, as primal_intersect
+    normalizes its own.  It is accepted when both sums exceed the simplex
     tolerance, the residual sum lam Q - sum mu R is within it in max-norm
     and sum lam Q is not (near) zero; the intersecting certificate is then
-    common_point = normalize(sum lam Q) with lam and mu as they come
-    (sum lam + sum mu = 1, as primal_intersect normalizes its own), after
-    both bodies are checked hemispherical (_require_hemispherical;
-    NotHemispherical propagates).  An intersecting pair so costs one LP
-    plus, for a body whose generator sum is not a pole, a hemisphericity LP.
+    common_point = normalize(sum lam Q), after both bodies are checked
+    hemispherical (_require_hemispherical; NotHemispherical propagates).
+    An intersecting pair so costs one LP plus, for a body whose generator
+    sum is not a pole, a hemisphericity LP.
 
-    When the duals are no certificate either, primal_intersect decides: its
+    When the LP gives no certificate either, primal_intersect decides: its
     intersecting certificate is returned as it is, while primal disjointness
     together with a marginal optimum is reported as NumericallyAmbiguous --
     the strict inequalities are undecidable at this tolerance.
     """
     _require_same_dimension(b1, b2)
     g1, g2 = b1.generators, b2.generators
+    m1, m = g1.shape[0], g1.shape[0] + g2.shape[0]
     out = solve(_pole_lp(np.vstack([g1, -g2])), max_pivots=100 * cfg.max_iter)
-    t = out.objective_value if out.status is LpStatus.OPTIMAL else 0.0
+    t, x = _pole_margin(out, g1.shape[1])
     if t > cfg.margin_tol:
-        witness = normalize(out.solution[:-1])
+        witness = normalize(x)
         unit = wedge_membership(b1, b2, witness, cfg)
         if unit.member:
             return SeparationCertificate(kind="disjoint", witness=witness, margin=unit.margin)
         t = unit.margin
-    if out.duals is not None:
-        # the rows are ">=" rows of a maximization, so their duals are <= 0;
-        # at the optimum each is within _TOL of that sign, and clipping the
-        # roundoff leaves y >= 0
-        y = -out.duals
-        y[(y >= -_TOL) & (y < 0.0)] = 0.0
-        lam, mu = y[: g1.shape[0]], y[g1.shape[0] :]
-        point = lam @ g1
-        if (
-            lam.sum() > _TOL
-            and mu.sum() > _TOL
-            and np.max(np.abs(point - mu @ g2)) <= _TOL
-            and np.linalg.norm(point) > _UNIT_TOL
-        ):
-            _require_hemispherical(b1, cfg)
-            _require_hemispherical(b2, cfg)
-            return SeparationCertificate(
-                kind="intersecting", common_point=normalize(point), lam=lam, mu=mu
-            )
+    y = (out.ray if x is None else out.solution)[:m].copy()
+    # simplex roundoff can leave entries just below 0; clipping it leaves
+    # y >= 0, with a positive sum: v for a solution, objective . ray for a ray
+    y[(y >= -_TOL) & (y < 0.0)] = 0.0
+    y /= y.sum()
+    lam, mu = y[:m1], y[m1:]
+    point = lam @ g1
+    if (
+        lam.sum() > _TOL
+        and mu.sum() > _TOL
+        and np.max(np.abs(point - mu @ g2)) <= _TOL
+        and np.linalg.norm(point) > _UNIT_TOL
+    ):
+        _require_hemispherical(b1, cfg)
+        _require_hemispherical(b2, cfg)
+        return SeparationCertificate(
+            kind="intersecting", common_point=normalize(point), lam=lam, mu=mu
+        )
     inter = primal_intersect(b1, b2, cfg)
     if inter is not None:
         return inter

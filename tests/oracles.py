@@ -6,11 +6,12 @@ or, where that is out of reach, from an LP duality certificate checked by
 nonnegative least squares; hull membership from Caratheodory subset
 enumeration, duplicate rows from a pairwise loop, and openness-probe
 margins from a per-sample loop.  Slow but obviously correct at test scale.
-The exceptions are two earlier forms of library routes, kept on the same
+The exceptions are earlier forms of library routes, kept on the same
 solver as references the current forms must reproduce: dual_witness_oracle
 keeps the earlier order of dual_witness (both hemisphericity LPs before the
-pole LP), and primal_intersect_oracle the cone LP scaled by body 1's
-hemisphericity pole.
+pole LP), primal_intersect_oracle the cone LP scaled by body 1's
+hemisphericity pole, and box_pole_lp with box_dual_witness the pole LP in
+its box form, one row per generator, and dual_witness reading it.
 """
 
 from __future__ import annotations
@@ -19,11 +20,16 @@ import itertools
 
 import numpy as np
 
-from sphsep.convexity import _pole_lp, _require_hemispherical, hemisphericity_witness
+from sphsep.convexity import (
+    _pole_lp,
+    _pole_margin,
+    _require_hemispherical,
+    hemisphericity_witness,
+)
 from sphsep.errors import DimensionMismatch, NumericallyAmbiguous
-from sphsep.geometry import DEFAULT_CONFIG, normalize
-from sphsep.lp import EQ, GE, LE, LinearProgram, LpStatus, solve
-from sphsep.separation import SeparationCertificate, wedge_membership
+from sphsep.geometry import _UNIT_TOL, DEFAULT_CONFIG, normalize
+from sphsep.lp import _TOL, EQ, GE, LE, LinearProgram, LpStatus, solve
+from sphsep.separation import SeparationCertificate, primal_intersect, wedge_membership
 
 
 def lp_residual(lp: LinearProgram, x: np.ndarray) -> float:
@@ -251,21 +257,76 @@ def primal_intersect_oracle(b1, b2, cfg=DEFAULT_CONFIG):
 
 def dual_witness_oracle(b1, b2, cfg=DEFAULT_CONFIG):
     """dual_witness in its earlier, hemisphericity-first order: both
-    witnesses, then the pole LP, then the pole-scaled cone LP.  Kept to
-    show that solving the pole LP first changes no answer."""
+    witnesses, then the pole LP, read as dual_witness reads it, then the
+    pole-scaled cone LP.  Kept to show that solving the pole LP first
+    changes no answer."""
     if b1.n != b2.n:
         raise DimensionMismatch("bodies live on different spheres")
     hemisphericity_witness(b1, cfg)
     hemisphericity_witness(b2, cfg)
     g1, g2 = b1.generators, b2.generators
     out = solve(_pole_lp(np.vstack([g1, -g2])), max_pivots=100 * cfg.max_iter)
-    t = out.objective_value if out.status is LpStatus.OPTIMAL else 0.0
+    t, x = _pole_margin(out, g1.shape[1])
     if t > cfg.margin_tol:
-        witness = normalize(out.solution[:-1])
+        witness = normalize(x)
         t = float(min(np.min(g1 @ witness), -np.max(g2 @ witness)))
         if t > cfg.margin_tol:
             return SeparationCertificate(kind="disjoint", witness=witness, margin=t)
     inter = primal_intersect_oracle(b1, b2, cfg)
+    if inter is not None:
+        return inter
+    raise NumericallyAmbiguous(f"separation margin {t:.3e} within the tolerance band")
+
+
+def box_pole_lp(rows: np.ndarray) -> LinearProgram:
+    """The pole LP in its box form: maximize t subject to x . row >= t for
+    every row, |x_k| <= 1, t free; one row per generator.  Its optimum t is
+    1/v for the optimum v of the polar form (_pole_lp)."""
+    m, k = rows.shape
+    obj = np.zeros(k + 1)
+    obj[-1] = 1.0
+    return LinearProgram(
+        objective=obj,
+        constraints=np.hstack([rows, -np.ones((m, 1))]),
+        relations=GE,
+        rhs=np.zeros(m),
+        lower=np.concatenate([-np.ones(k), [-np.inf]]),
+        upper=np.concatenate([np.ones(k), [np.inf]]),
+    )
+
+
+def box_dual_witness(b1, b2, cfg=DEFAULT_CONFIG):
+    """dual_witness on the box form: the pole is the solution's x, and the
+    intersecting certificate the negated row duals (the dual of the box
+    form minimizes |sum lam Q - sum mu R|_1 over sum lam + sum mu = 1)."""
+    if b1.n != b2.n:
+        raise DimensionMismatch("bodies live on different spheres")
+    g1, g2 = b1.generators, b2.generators
+    out = solve(box_pole_lp(np.vstack([g1, -g2])), max_pivots=100 * cfg.max_iter)
+    t = out.objective_value if out.status is LpStatus.OPTIMAL else 0.0
+    if t > cfg.margin_tol:
+        witness = normalize(out.solution[:-1])
+        unit = wedge_membership(b1, b2, witness, cfg)
+        if unit.member:
+            return SeparationCertificate(kind="disjoint", witness=witness, margin=unit.margin)
+        t = unit.margin
+    if out.duals is not None:
+        y = -out.duals
+        y[(y >= -_TOL) & (y < 0.0)] = 0.0
+        lam, mu = y[: g1.shape[0]], y[g1.shape[0] :]
+        point = lam @ g1
+        if (
+            lam.sum() > _TOL
+            and mu.sum() > _TOL
+            and np.max(np.abs(point - mu @ g2)) <= _TOL
+            and np.linalg.norm(point) > _UNIT_TOL
+        ):
+            _require_hemispherical(b1, cfg)
+            _require_hemispherical(b2, cfg)
+            return SeparationCertificate(
+                kind="intersecting", common_point=normalize(point), lam=lam, mu=mu
+            )
+    inter = primal_intersect(b1, b2, cfg)
     if inter is not None:
         return inter
     raise NumericallyAmbiguous(f"separation margin {t:.3e} within the tolerance band")

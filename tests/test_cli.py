@@ -231,13 +231,18 @@ def _orthogonal_caps_doc(n, k):
 
 
 def test_pivot_budget_overrun_exit_codes(tmp_path, capsys):
-    # on S^40 the dual pole LP, which witness --method lp solves first,
-    # overruns its 100-pivot budget at pivot 112; no hemisphericity LP runs
-    path = write_instance(tmp_path, _orthogonal_caps_doc(40, 80), "caps.json")
+    # on S^40 the dual pole LP, which witness --method lp solves first, has
+    # 83 rows in its polar form and fits its 100-pivot budget (the box form,
+    # one row per generator, overran it at pivot 112); no hemisphericity LP
+    # runs, and the pole separates the bodies by direct dots
+    doc = _orthogonal_caps_doc(40, 80)
+    path = write_instance(tmp_path, doc, "caps.json")
     code, out, _ = run_cli(capsys, "witness", path, "--method", "lp")
-    assert code == 3
-    doc = json.loads(out)
-    assert doc["status"] == "ambiguous" and "pivots" in doc["reason"]
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["status"] == "disjoint"
+    margin = separates(np.array(cert["witness"]), np.array(doc["w1"]), np.array(doc["w2"]))
+    assert margin > 0.0 and margin == pytest.approx(cert["margin"], abs=1e-12)
     # the constructive route's hemisphericity LPs fit too, and so does its
     # cone LP over 6400+6400 fattened generators; the row-generated solves
     # of its first hull separation overrun their shared budget at pivot 101.

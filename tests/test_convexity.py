@@ -1,3 +1,5 @@
+import json
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from sphsep.convexity import (
     SphericalBody,
     TangentPolytope,
     _dedupe_rows,
+    _require_hemispherical,
     fatten,
     hemisphericity_witness,
     project_body,
@@ -21,6 +24,7 @@ from sphsep.errors import (
 )
 from sphsep.geometry import ToleranceConfig, central_unproject, normalize, orthonormal_frame
 
+from .conftest import GOLDEN_DIR
 from .oracles import dedupe_rows_oracle, hull_member_oracle
 
 S = 1.0 / np.sqrt(2.0)
@@ -188,6 +192,27 @@ def test_hemisphericity_judges_margin_at_unit_scale():
     )
     with pytest.raises(NotHemispherical):
         hemisphericity_witness(body)
+
+
+def test_hemisphericity_witness_accepts_what_the_generator_sum_proves():
+    # at margin_tol 0.8 the LP's box-scale pole can miss the band at unit
+    # scale where the normalized generator sum clears it (inst_02's body 1:
+    # 0.678 against 0.955); every body _require_hemispherical accepts must
+    # get a pole, whose unit-scale margin clears the band
+    cfg = ToleranceConfig(margin_tol=0.8)
+    accepted = []
+    for path in sorted((GOLDEN_DIR / "instances").glob("inst_*.json")):
+        doc = json.loads(path.read_text())
+        for key in ("w1", "w2"):
+            body = SphericalBody.from_points(doc[key])
+            try:
+                _require_hemispherical(body, cfg)
+            except NotHemispherical:
+                continue
+            accepted.append((path.stem, key))
+            pole = hemisphericity_witness(body, cfg)
+            assert np.min(body.generators @ pole) > cfg.margin_tol, (path.stem, key)
+    assert ("inst_02", "w1") in accepted
 
 
 def test_project_body_known_coordinates():

@@ -565,3 +565,28 @@ def test_solver_bits_pinned():
             h.update(np.float64(out.objective_value).tobytes())
     assert statuses == set(LpStatus)
     assert h.hexdigest() == _BATTERY_SHA256
+
+
+def test_unbounded_outcomes_carry_a_recession_ray():
+    # every unbounded program of the battery comes with a direction along
+    # which each row keeps its relation, each finite bound is kept and the
+    # objective rises; no other outcome carries one
+    rng = np.random.default_rng(20261018)
+    unbounded = 0
+    for _ in range(400):
+        lp = _bits_battery_lp(rng)
+        out = solve(lp)
+        if out.status is not LpStatus.UNBOUNDED:
+            assert out.ray is None
+            continue
+        unbounded += 1
+        d = out.ray
+        assert d.shape == (lp.num_vars,)
+        Ad = lp.constraints @ d
+        assert np.all(Ad[lp.relations == LE] <= 1e-9)
+        assert np.all(Ad[lp.relations == GE] >= -1e-9)
+        assert np.all(np.abs(Ad[lp.relations == EQ]) <= 1e-9)
+        assert np.all(d[np.isfinite(lp.lower)] >= -1e-9)
+        assert np.all(d[np.isfinite(lp.upper)] <= 1e-9)
+        assert lp.objective @ d > 0.0
+    assert unbounded >= 50
