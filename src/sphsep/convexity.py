@@ -179,60 +179,38 @@ def _pole_margin(out: LpOutcome, k: int) -> tuple[float, np.ndarray | None]:
     return 1.0 / out.objective_value, out.duals[:k] - out.duals[k : 2 * k]
 
 
-def _sum_margin(g: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """(margin, pole) of the normalized generator sum: min_j P . Q_j at unit
-    scale, or (-inf, None) when the sum is (near) zero."""
-    total = g.sum(axis=0)
-    norm = float(np.linalg.norm(total))
-    if norm <= _UNIT_TOL:
-        return -np.inf, None
-    pole = total / norm
-    return float(np.min(g @ pole)), pole
-
-
 def hemisphericity_witness(
     body: SphericalBody, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """Unit pole P with P . Q > 0 for every generator Q, or NotHemispherical.
+    """Unit pole P with P . Q > margin_tol for every generator Q, or
+    NotHemispherical: the one place a hemisphericity pole is chosen.
 
-    Solves the pole LP (_pole_lp) on the generator rows, whose optimum is
-    the pole maximizing min_j P . Q_j over the box |P_k| <= 1.  That pole is
-    normalized to the sphere, and the body counts as sitting inside an open
-    hemisphere when min_j P . Q_j still exceeds margin_tol at unit scale.
-    The box optimum is not the best unit-scale margin, so when the LP pole
-    misses margin_tol at unit scale the normalized generator sum is tried
-    before giving up.
+    The normalized generator sum is tried first: one product proves the body
+    hemispherical when its unit-scale margin min_j P . Q_j exceeds
+    margin_tol, as it does on every cap of angular radius below pi/4 at the
+    default tolerance.  Otherwise the pole LP (_pole_lp) on the generator
+    rows decides: its optimum is the pole maximizing min_j P . Q_j over the
+    box |P_k| <= 1, accepted when its normalization still clears margin_tol
+    at unit scale.  The margin in the error is the LP's.
     """
     g = body.generators
+    total = g.sum(axis=0)
+    norm = float(np.linalg.norm(total))
+    if norm > _UNIT_TOL:
+        pole = total / norm
+        if np.min(g @ pole) > cfg.margin_tol:
+            return pole
     out = solve(_pole_lp(g), max_pivots=100 * cfg.max_iter)
     margin, x = _pole_margin(out, g.shape[1])
     if margin > cfg.margin_tol:
         pole = normalize(x)
         margin = float(np.min(g @ pole))
-        if margin <= cfg.margin_tol:
-            sum_margin, sum_pole = _sum_margin(g)
-            if sum_margin > margin:
-                margin, pole = sum_margin, sum_pole
-    if margin <= cfg.margin_tol:
-        raise NotHemispherical(
-            f"no open hemisphere contains all {g.shape[0]} generators "
-            f"(best margin {margin:.3e})"
-        )
-    return pole
-
-
-def _require_hemispherical(
-    body: SphericalBody, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> None:
-    """Raise NotHemispherical unless the body sits in an open hemisphere.
-
-    For callers that need the fact but not the pole.  The normalized sum of
-    the generators is tried first: one product proves the body
-    hemispherical when its unit-scale margin min_j P . Q_j exceeds
-    margin_tol.  Otherwise hemisphericity_witness decides, by its LP.
-    """
-    if _sum_margin(body.generators)[0] <= cfg.margin_tol:
-        hemisphericity_witness(body, cfg)
+        if margin > cfg.margin_tol:
+            return pole
+    raise NotHemispherical(
+        f"no open hemisphere contains all {g.shape[0]} generators "
+        f"(best margin {margin:.3e})"
+    )
 
 
 def project_body(

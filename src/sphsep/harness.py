@@ -89,8 +89,8 @@ def _random_tangent(rng: np.random.Generator, center: np.ndarray) -> np.ndarray:
 def _cap_body(
     rng: np.random.Generator, center: np.ndarray, k: int, spread: float
 ) -> np.ndarray:
-    """k generators within angle spread of center (cap containment gives the
-    hemisphericality witness for free)."""
+    """k generators within angle spread of center (cap containment makes the
+    body hemispherical)."""
     gens = np.empty((k, center.size))
     for i in range(k):
         theta = rng.uniform(0.0, spread)
@@ -102,11 +102,11 @@ def _cap_body(
 _MAX_DISJOINT_ATTEMPTS = 40
 
 
-def _generate_with_centers(
+def generate(
     spec: InstanceSpec, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> tuple[SphericalBody, SphericalBody, np.ndarray, np.ndarray]:
-    """Bodies plus their construction centers (valid hemisphericity witnesses:
-    every generator has dot >= cos(spread) with its center)."""
+) -> tuple[SphericalBody, SphericalBody]:
+    """Deterministic instance for the given spec: two caps of generators
+    within spec.spread of random centers, arranged by spec.mode."""
     rng = np.random.default_rng(spec.seed)
     d = spec.dimension + 1
     c1 = _random_unit(rng, d)
@@ -117,19 +117,18 @@ def _generate_with_centers(
         c2 = b1.generators[0].copy()
         gens2 = _cap_body(rng, c2, spec.k2, spec.spread)
         gens2[0] = c2
-        b2 = SphericalBody(gens2)
-        return b1, b2, c1, c2
+        return b1, SphericalBody(gens2)
 
     c2 = _random_unit(rng, d)
     b2 = SphericalBody(_cap_body(rng, c2, spec.k2, spec.spread))
     if spec.mode is Mode.UNCONSTRAINED:
-        return b1, b2, c1, c2
+        return b1, b2
 
     # Mode.FORCE_DISJOINT: pull center 2 to an increasing angle from center 1
     # and regenerate body 2 until the cone oracle confirms disjointness
     for attempt in range(_MAX_DISJOINT_ATTEMPTS):
         if primal_intersect(b1, b2, cfg) is None:
-            return b1, b2, c1, c2
+            return b1, b2
         phi = min(2.0 * spec.spread + 0.25 * (attempt + 1), math.pi - 0.05)
         c2 = math.cos(phi) * c1 + math.sin(phi) * _random_tangent(rng, c1)
         c2 = normalize(c2)
@@ -138,14 +137,6 @@ def _generate_with_centers(
         f"could not force disjoint bodies in {_MAX_DISJOINT_ATTEMPTS} attempts "
         f"(seed {spec.seed}, n={spec.dimension})"
     )
-
-
-def generate(
-    spec: InstanceSpec, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> tuple[SphericalBody, SphericalBody]:
-    """Deterministic instance for the given spec; see _generate_with_centers."""
-    b1, b2, _, _ = _generate_with_centers(spec, cfg)
-    return b1, b2
 
 
 _CHECK_NAMES = (
@@ -219,8 +210,6 @@ def _deep_checks(
     tag: str,
     b1: SphericalBody,
     b2: SphericalBody,
-    c1: np.ndarray,
-    c2: np.ndarray,
     dual_cert,
     probe_seed: int,
     cfg: ToleranceConfig,
@@ -236,7 +225,7 @@ def _deep_checks(
         return
 
     try:
-        pp_cert, trace = proof_path_witness(b1, b2, cfg, w1=c1, w2=c2)
+        pp_cert, trace = proof_path_witness(b1, b2, cfg)
     except SphSepError as exc:
         report.failures.append(f"{tag}: proof path failed: {exc}")
         return
@@ -287,9 +276,10 @@ def run_equivalence_campaign(
     sizes.  Ambiguous instances (separation margin, or a body's
     hemisphericity margin, inside the tolerance band) are counted and
     skipped rather than classified, and so are instances whose LPs overrun
-    the pivot budget, each with a failure entry.
-    Single-threaded
-    and sequential, so the report is trivially deterministic.
+    the pivot budget, each with a failure entry.  Disjoint instances go
+    through the same proof_path_witness call as `witness --method
+    proof-path`.  Single-threaded and sequential, so the report is trivially
+    deterministic.
     """
     report = CampaignReport(count=count, dims=list(dims), sizes=list(sizes), seed=seed)
     master = np.random.default_rng(seed)
@@ -305,7 +295,7 @@ def run_equivalence_campaign(
         tag = f"seed={child_seed} n={n} k=({k1},{k2}) mode={mode.value}"
         report.instances += 1
         try:
-            b1, b2, c1, c2 = _generate_with_centers(spec, cfg)
+            b1, b2 = generate(spec, cfg)
             # a force-disjoint draw is returned only once this very cone LP
             # said None, so it is not solved a second time
             inter = (
@@ -338,9 +328,7 @@ def run_equivalence_campaign(
         report.agreements += 1
         if primal_disjoint:
             report.disjoint += 1
-            _deep_checks(
-                report, tag, b1, b2, c1, c2, dual_cert, child_seed ^ 0x5EED, cfg
-            )
+            _deep_checks(report, tag, b1, b2, dual_cert, child_seed ^ 0x5EED, cfg)
         else:
             report.intersecting += 1
     return report

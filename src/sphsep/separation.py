@@ -29,7 +29,6 @@ from .convexity import (
     SphericalBody,
     _pole_lp,
     _pole_margin,
-    _require_hemispherical,
     fatten,
     hemisphericity_witness,
     project_body,
@@ -155,13 +154,13 @@ def primal_intersect(
     2 being hemispherical then forces sum mu > 0, so infeasibility is the
     disjointness certificate.  The solution is divided by its sum: lam and
     mu are normalized as on every route, sum lam + sum mu = 1.  Both bodies
-    are checked by _require_hemispherical (NotHemispherical propagates); no
-    pole is read, so where the generator sums are poles the cone LP is the
-    only LP.
+    are checked by hemisphericity_witness (NotHemispherical propagates),
+    whose poles are not read, so where the generator sums are poles the cone
+    LP is the only LP.
     """
     _require_same_dimension(b1, b2)
-    _require_hemispherical(b1, cfg)
-    _require_hemispherical(b2, cfg)
+    hemisphericity_witness(b1, cfg)
+    hemisphericity_witness(b2, cfg)
     g1, g2 = b1.generators, b2.generators
     m1, m2 = g1.shape[0], g2.shape[0]
     d = g1.shape[1]
@@ -232,7 +231,7 @@ def dual_witness(
     tolerance, the residual sum lam Q - sum mu R is within it in max-norm
     and sum lam Q is not (near) zero; the intersecting certificate is then
     common_point = normalize(sum lam Q), after both bodies are checked
-    hemispherical (_require_hemispherical; NotHemispherical propagates).
+    hemispherical (hemisphericity_witness; NotHemispherical propagates).
     An intersecting pair so costs one LP plus, for a body whose generator
     sum is not a pole, a hemisphericity LP.
 
@@ -265,8 +264,8 @@ def dual_witness(
         and np.max(np.abs(point - mu @ g2)) <= _TOL
         and np.linalg.norm(point) > _UNIT_TOL
     ):
-        _require_hemispherical(b1, cfg)
-        _require_hemispherical(b2, cfg)
+        hemisphericity_witness(b1, cfg)
+        hemisphericity_witness(b2, cfg)
         return SeparationCertificate(
             kind="intersecting", common_point=normalize(point), lam=lam, mu=mu
         )
@@ -419,15 +418,14 @@ def proof_path_witness(
     b1: SphericalBody,
     b2: SphericalBody,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    w1: np.ndarray | None = None,
-    w2: np.ndarray | None = None,
 ) -> tuple[SeparationCertificate, ProofTrace]:
     """Witness pole built the constructive way, for provably disjoint bodies.
 
-    Pipeline: (1) hemisphericity witnesses and tangent frames; central
-    projection of both bodies.  (2) Halving search for a fattening radius
-    epsilon0 whose fattened pullbacks stay hemispherical and disjoint
-    (starting at 0.5).
+    Pipeline: (1) each body's pole from hemisphericity_witness (its
+    normalized generator sum when that clears margin_tol, else the pole
+    LP's), the tangent frame at it and the central projection of the body.
+    (2) Halving search for a fattening radius epsilon0 whose fattened
+    pullbacks stay hemispherical and disjoint (starting at 0.5).
     (3) Max-slack hyperplane between the Euclidean hulls of the fattened
     pullback generators: the contracted separation at sigma = 1.  (4) One
     contraction loop, which runs while the offset magnitude is >= offset_tol
@@ -449,12 +447,8 @@ def proof_path_witness(
     or a zero offset leave the normal outside the wedge.
     """
     _require_same_dimension(b1, b2)
-    if w1 is None:
-        w1 = hemisphericity_witness(b1, cfg)
-    if w2 is None:
-        w2 = hemisphericity_witness(b2, cfg)
-    f1 = orthonormal_frame(w1)
-    f2 = orthonormal_frame(w2)
+    f1 = orthonormal_frame(hemisphericity_witness(b1, cfg))
+    f2 = orthonormal_frame(hemisphericity_witness(b2, cfg))
     poly1 = project_body(b1, f1, cfg)
     poly2 = project_body(b2, f2, cfg)
 
@@ -497,16 +491,24 @@ def proof_path_witness(
         or not (check := wedge_membership(b1, b2, hyp.normal, cfg)).member
     ):
         prev = trace.offsets[-1]
+        # below offset_tol only the wedge margin keeps the loop going, and
+        # squeezing the offset further need not raise it
+        why = (
+            f" (below offset_tol {cfg.offset_tol:.1e}; the normal's wedge "
+            f"margin {check.margin:.3e} is not above margin_tol {cfg.margin_tol:.1e})"
+            if prev < cfg.offset_tol
+            else ""
+        )
         if trace.iterations >= cfg.max_iter or prev == 0.0:
             raise ContractionStalled(
                 f"no strict witness after {trace.iterations} of {cfg.max_iter} "
-                f"contraction rounds; offset is {prev:.3e}"
+                f"contraction rounds; offset is {prev:.3e}{why}"
             )
         sigma = max(sigma * prev, sigma_floor)
         hyp, _ = _separating_hyperplane_contracted(hull, sigma, cfg)
         if abs(hyp.offset) >= prev * (1.0 - _TOL):
             raise ContractionStalled(
-                f"offset magnitude stalled at {prev:.3e} after "
+                f"offset magnitude stalled at {prev:.3e}{why} after "
                 f"{trace.iterations + 1} contraction rounds"
             )
         trace.offsets.append(abs(hyp.offset))

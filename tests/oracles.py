@@ -23,7 +23,6 @@ import numpy as np
 from sphsep.convexity import (
     _pole_lp,
     _pole_margin,
-    _require_hemispherical,
     hemisphericity_witness,
 )
 from sphsep.errors import DimensionMismatch, NumericallyAmbiguous
@@ -94,14 +93,22 @@ def lp_oracle(lp: LinearProgram, tol: float = 1e-7):
 
 def nnls_residual(A: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> float:
     """min over y >= 0 of |A y - b|, by Lawson and Hanson's active-set
-    method (each step is a dense least-squares solve on the passive set)."""
+    method (each step is a dense least-squares solve on the passive set).
+
+    A column joins the passive set while its gradient is positive at all,
+    within the loop cap: on nearly parallel columns the gradient of a far
+    from optimal y can be as small as the residual times their angle, so an
+    absolute gradient threshold would stop early.  tol only decides when a
+    passive entry has reached 0.  The residual is always that of a real
+    y >= 0, so an extra step cannot make a non-optimum look optimal.
+    """
     n = A.shape[1]
     passive = np.zeros(n, dtype=bool)
     y = np.zeros(n)
     for _ in range(3 * n + 10):
         grad = A.T @ (b - A @ y)
         grad[passive] = -np.inf
-        if passive.all() or grad.max() <= tol:
+        if passive.all() or grad.max() <= 0.0:
             break
         passive[grad.argmax()] = True
         while True:
@@ -234,7 +241,7 @@ def primal_intersect_oracle(b1, b2, cfg=DEFAULT_CONFIG):
     if b1.n != b2.n:
         raise DimensionMismatch("bodies live on different spheres")
     p1 = hemisphericity_witness(b1, cfg)
-    _require_hemispherical(b2, cfg)
+    hemisphericity_witness(b2, cfg)
     g1, g2 = b1.generators, b2.generators
     m1, d = g1.shape
     A = np.zeros((d + 1, m1 + g2.shape[0]))
@@ -321,8 +328,8 @@ def box_dual_witness(b1, b2, cfg=DEFAULT_CONFIG):
             and np.max(np.abs(point - mu @ g2)) <= _TOL
             and np.linalg.norm(point) > _UNIT_TOL
         ):
-            _require_hemispherical(b1, cfg)
-            _require_hemispherical(b2, cfg)
+            hemisphericity_witness(b1, cfg)
+            hemisphericity_witness(b2, cfg)
             return SeparationCertificate(
                 kind="intersecting", common_point=normalize(point), lam=lam, mu=mu
             )

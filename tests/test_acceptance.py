@@ -286,7 +286,8 @@ def test_criterion_8_cli_byte_stability(acceptance):
         "CLI byte stability",
         ok,
         f"{compared} golden outputs byte-identical across runs; "
-        f"exit-code table verified ({len(mismatches)} mismatches)",
+        f"exit-code table verified ({len(mismatches)} mismatches"
+        + (f": {', '.join(mismatches)})" if mismatches else ")"),
     )
 
 

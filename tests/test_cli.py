@@ -216,6 +216,30 @@ def test_witness_proof_path_failure_exit_code(tmp_path, capsys):
     assert code == 0
 
 
+def test_proof_path_stall_below_offset_tol_names_the_wedge_margin(tmp_path, capsys):
+    # two points 1.1 rad apart at margin_tol 0.5: the pole LP finds a pole of
+    # margin 0.52, but the proof path's normal converges to one of margin
+    # 0.447 while its offset falls below offset_tol, so contracting further
+    # cannot make it a wedge member; the error says so, and the exit stays 5
+    doc = {
+        "n": 1,
+        "w1": [[1.0, 0.0]],
+        "w2": [[float(np.cos(1.1)), float(np.sin(1.1))]],
+        "tolerances": {"margin_tol": 0.5},
+    }
+    path = write_instance(tmp_path, doc)
+    code, out, err = run_cli(capsys, "witness", path, "--method", "proof-path")
+    assert code == 5
+    assert out == ""
+    assert "stalled at" in err
+    assert (
+        "(below offset_tol 1.0e-06; the normal's wedge margin 4.472e-01 "
+        "is not above margin_tol 5.0e-01)"
+    ) in err
+    code, out, _ = run_cli(capsys, "witness", path, "--method", "lp")
+    assert code == 0 and json.loads(out)["margin"] > 0.5
+
+
 def _orthogonal_caps_doc(n, k):
     # k+k generators on S^n around orthogonal centres, with a one-round
     # budget: every LP may take 100 pivots
@@ -243,9 +267,10 @@ def test_pivot_budget_overrun_exit_codes(tmp_path, capsys):
     assert cert["status"] == "disjoint"
     margin = separates(np.array(cert["witness"]), np.array(doc["w1"]), np.array(doc["w2"]))
     assert margin > 0.0 and margin == pytest.approx(cert["margin"], abs=1e-12)
-    # the constructive route's hemisphericity LPs fit too, and so does its
-    # cone LP over 6400+6400 fattened generators; the row-generated solves
-    # of its first hull separation overrun their shared budget at pivot 101.
+    # the constructive route's poles are the caps' generator sums, with no
+    # LP, and its cone LP over 6400+6400 fattened generators fits; the
+    # row-generated solves of its first hull separation overrun their shared
+    # budget at pivot 101.
     # The run must stay small: a dense variable map of the cone LP or a
     # dense tableau of the 12 803-row hull separation would take gigabytes.
     tracemalloc.start()

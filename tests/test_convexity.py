@@ -9,7 +9,6 @@ from sphsep.convexity import (
     SphericalBody,
     TangentPolytope,
     _dedupe_rows,
-    _require_hemispherical,
     fatten,
     hemisphericity_witness,
     project_body,
@@ -197,22 +196,32 @@ def test_hemisphericity_judges_margin_at_unit_scale():
 def test_hemisphericity_witness_accepts_what_the_generator_sum_proves():
     # at margin_tol 0.8 the LP's box-scale pole can miss the band at unit
     # scale where the normalized generator sum clears it (inst_02's body 1:
-    # 0.678 against 0.955); every body _require_hemispherical accepts must
-    # get a pole, whose unit-scale margin clears the band
+    # 0.678 against 0.955); every body whose sum clears the band gets that
+    # sum as its pole, since it is tried first
     cfg = ToleranceConfig(margin_tol=0.8)
     accepted = []
     for path in sorted((GOLDEN_DIR / "instances").glob("inst_*.json")):
         doc = json.loads(path.read_text())
         for key in ("w1", "w2"):
             body = SphericalBody.from_points(doc[key])
-            try:
-                _require_hemispherical(body, cfg)
-            except NotHemispherical:
+            total = normalize(body.generators.sum(axis=0))
+            if np.min(body.generators @ total) <= cfg.margin_tol:
                 continue
             accepted.append((path.stem, key))
             pole = hemisphericity_witness(body, cfg)
+            assert np.array_equal(pole, total), (path.stem, key)
             assert np.min(body.generators @ pole) > cfg.margin_tol, (path.stem, key)
     assert ("inst_02", "w1") in accepted
+
+
+def test_cap_body_gets_its_generator_sum_without_an_lp(solve_sites):
+    rng = np.random.default_rng(31)
+    for n in (1, 3, 8):
+        body = cap_body(rng, normalize(rng.standard_normal(n + 1)), 12)
+        total = body.generators.sum(axis=0)
+        pole = hemisphericity_witness(body)
+        assert np.array_equal(pole, total / np.linalg.norm(total))
+    assert solve_sites == []
 
 
 def test_project_body_known_coordinates():

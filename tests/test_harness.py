@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import sphsep.convexity
 import sphsep.separation
+from sphsep.cli import _load_instance
 from sphsep.errors import GenerationFailed
 from sphsep.geometry import ToleranceConfig
 from sphsep.harness import (
@@ -15,7 +18,7 @@ from sphsep.harness import (
     run_equivalence_campaign,
 )
 from sphsep.lp import LpStatus, solve
-from sphsep.separation import primal_intersect
+from sphsep.separation import dual_witness, primal_intersect, proof_path_witness
 
 from .oracles import lp_residual
 
@@ -149,6 +152,65 @@ def test_campaign_solves_each_cone_lp_once(monkeypatch):
     assert report.agreements == 16
     pairs = [(id(b1), id(b2)) for b1, b2 in asked]
     assert len(pairs) == len(set(pairs))
+
+
+def test_campaign_proof_path_is_the_clis(tmp_path, monkeypatch):
+    # the deep check's proof path must be the one `witness --method
+    # proof-path` runs: on a force-disjoint instance of the campaign, written
+    # out as an instance file, the witness, margin and trace the deep check
+    # builds, printed as the CLI prints them, are the CLI's stdout byte for
+    # byte.  The CLI divides every row by its norm, which can move a
+    # generated row by an ulp, so the deep check is run on the bodies as the
+    # CLI reads them.
+    import sphsep.harness
+
+    drawn = []
+    checks = sphsep.harness._deep_checks
+
+    def keep_force_disjoint(report, tag, b1, b2, *args):
+        if "force-disjoint" in tag:
+            drawn.append((b1, b2))
+        checks(report, tag, b1, b2, *args)
+
+    monkeypatch.setattr(sphsep.harness, "_deep_checks", keep_force_disjoint)
+    report = run_equivalence_campaign(12, [1, 2, 3], [3, 5], seed=9)
+    monkeypatch.undo()
+    assert report.failures == [] and len(drawn) == 3
+
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(proof_path_witness(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(sphsep.harness, "proof_path_witness", recording)
+    cfg = ToleranceConfig()
+    for i, (g1, g2) in enumerate(drawn):
+        path = tmp_path / f"inst_{i}.json"
+        path.write_text(json.dumps({"n": g1.n, "w1": g1.generators.tolist(),
+                                    "w2": g2.generators.tolist()}))
+        b1, b2, _ = _load_instance(str(path), None)
+        check = CampaignReport(count=1, dims=[b1.n], sizes=[], seed=0)
+        checks(check, f"inst_{i}", b1, b2, dual_witness(b1, b2, cfg), i, cfg)
+        assert check.failures == [] and len(runs) == i + 1
+        cert, trace = runs[-1]
+        want = {
+            "status": "disjoint",
+            "witness": [float(x) for x in cert.witness],
+            "margin": float(cert.margin),
+            "trace": {
+                "epsilon0": float(trace.epsilon0),
+                "offsets": [float(o) for o in trace.offsets],
+                "iterations": trace.iterations,
+            },
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "sphsep", "witness", "--method", "proof-path", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == json.dumps(want, indent=2) + "\n", i
 
 
 def test_campaign_counts_bodies_not_hemispherical_within_the_band_as_ambiguous():
