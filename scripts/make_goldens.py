@@ -7,14 +7,27 @@ stdout and exit codes for `check`, `witness --method lp`, and `witness
 --method proof-path`; the remaining forty are disjoint instances used by
 the witness cross-check.  Everything is derived from fixed seeds, so
 rerunning this script reproduces the corpus byte for byte.
+
+    python3 scripts/make_goldens.py           # rewrite tests/golden/
+    python3 scripts/make_goldens.py --check   # compare, write nothing there
+
+``--check`` regenerates the corpus into a temporary directory and compares
+it with tests/golden/ file by file, every file parsed as JSON.  For each
+file that differs it prints the largest absolute difference between
+corresponding numbers, and it flags every change that is not a numeric
+drift: an exit code, a status or other string, a key set, an array length,
+``epsilon0`` or ``iterations``, a file present on one side only.  It exits
+1 when any file differs, 0 when the corpus is reproduced byte for byte.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,9 +82,9 @@ def run_command(instance_path: Path, argv: list[str]) -> tuple[bytes, int]:
     return proc.stdout, proc.returncode
 
 
-def main() -> int:
-    inst_dir = GOLDEN / "instances"
-    exp_dir = GOLDEN / "expected"
+def write_corpus(golden: Path) -> None:
+    inst_dir = golden / "instances"
+    exp_dir = golden / "expected"
     inst_dir.mkdir(parents=True, exist_ok=True)
     exp_dir.mkdir(parents=True, exist_ok=True)
 
@@ -94,9 +107,78 @@ def main() -> int:
             manifest["extra"].append(entry)
         print(f"{name}: n={meta['n']} mode={meta['mode']}")
 
-    (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    print(f"wrote {CORE_COUNT} core + {EXTRA_COUNT} extra instances to {GOLDEN}")
-    return 0
+    (golden / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    print(f"wrote {CORE_COUNT} core + {EXTRA_COUNT} extra instances to {golden}")
+
+
+# numbers that must not move at all, unlike the trailing digits of a witness
+EXACT_KEYS = ("exit", "epsilon0", "iterations")
+
+
+def compare(old, new, where: str, flags: list[str]) -> float:
+    """Largest absolute difference between corresponding numbers of two
+    JSON values; every other difference is appended to flags."""
+    number = (int, float)
+    if isinstance(old, bool) or isinstance(new, bool) or not (
+        isinstance(old, number) and isinstance(new, number)
+    ):
+        if isinstance(old, dict) and isinstance(new, dict):
+            if old.keys() != new.keys():
+                flags.append(f"{where}: keys {sorted(old)} -> {sorted(new)}")
+            return max((compare(old[k], new[k], f"{where}.{k}", flags)
+                        for k in old.keys() & new.keys()), default=0.0)
+        if isinstance(old, list) and isinstance(new, list):
+            if len(old) != len(new):
+                flags.append(f"{where}: length {len(old)} -> {len(new)}")
+            return max((compare(a, b, f"{where}[{i}]", flags)
+                        for i, (a, b) in enumerate(zip(old, new))), default=0.0)
+        if old != new:
+            flags.append(f"{where}: {old!r} -> {new!r}")
+        return 0.0
+    if old != new and where.rsplit(".", 1)[-1] in EXACT_KEYS:
+        flags.append(f"{where}: {old!r} -> {new!r}")
+    return abs(float(new) - float(old))
+
+
+def check(fresh: Path) -> int:
+    """Compare the corpus regenerated under fresh with tests/golden/."""
+    names = {p.relative_to(root).as_posix()
+             for root in (GOLDEN, fresh) for p in root.rglob("*") if p.is_file()}
+    differing = 0
+    for name in sorted(names):
+        old_path, new_path = GOLDEN / name, fresh / name
+        if not (old_path.is_file() and new_path.is_file()):
+            differing += 1
+            print(f"{name}: only in {'tests/golden' if old_path.is_file() else 'the regeneration'}")
+            continue
+        old, new = old_path.read_bytes(), new_path.read_bytes()
+        if old == new:
+            continue
+        differing += 1
+        flags: list[str] = []
+        try:
+            worst = compare(json.loads(old), json.loads(new), "$", flags)
+        except json.JSONDecodeError:
+            print(f"{name}: differs and is not JSON")
+            continue
+        print(f"{name}: max |diff| {worst:.3e}")
+        for flag in flags:
+            print(f"  FLAG {flag}")
+    print(f"{differing} of {len(names)} files differ")
+    return 1 if differing else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="regenerate into a temporary directory and compare")
+    args = parser.parse_args(argv)
+    if not args.check:
+        write_corpus(GOLDEN)
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        write_corpus(Path(tmp))
+        return check(Path(tmp))
 
 
 if __name__ == "__main__":

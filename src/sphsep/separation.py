@@ -118,7 +118,9 @@ class ProofTrace:
     offsets are the strictly decreasing |offset| of the separating
     hyperplanes, the first from the separation at sigma = 1 and one more per
     contraction round, ending below offset_tol; iterations counts the
-    contraction rounds.
+    contraction rounds.  The offset of a round that a certified earlier
+    optimum carries is computed from that optimum, not solved again (see
+    _separating_hyperplane_contracted).
     """
 
     epsilon0: float
@@ -136,6 +138,14 @@ def _require_same_dimension(b1: SphericalBody, b2: SphericalBody) -> None:
         )
 
 
+def _pole_difference(p1: np.ndarray, p2: np.ndarray) -> np.ndarray | None:
+    """normalize(p1 - p2) for hemisphericity poles p1 of body 1 and p2 of
+    body 2, or None where they coincide: the direction from body 2 toward
+    body 1 that the poles alone suggest."""
+    diff = p1 - p2
+    return None if np.linalg.norm(diff) <= _UNIT_TOL else normalize(diff)
+
+
 def primal_intersect(
     b1: SphericalBody,
     b2: SphericalBody,
@@ -145,7 +155,11 @@ def primal_intersect(
     otherwise the intersecting certificate, with the common point and the
     cone coefficients lam and mu that build it.
 
-    Solves the cone feasibility system
+    Both bodies are first shown hemispherical by hemisphericity_witness
+    (NotHemispherical propagates).  When the normalized difference of the
+    two poles is a wedge member (wedge_membership, at unit scale against
+    margin_tol), it certifies disjointness by itself and None is returned
+    without an LP.  Otherwise the cone feasibility system decides:
 
         lambda, mu >= 0,   sum lambda_j Q_j - sum mu_k R_k = 0,   sum lambda_j = 1:
 
@@ -153,14 +167,14 @@ def primal_intersect(
     scale.  Body 1 being hemispherical keeps sum lam Q away from 0, and body
     2 being hemispherical then forces sum mu > 0, so infeasibility is the
     disjointness certificate.  The solution is divided by its sum: lam and
-    mu are normalized as on every route, sum lam + sum mu = 1.  Both bodies
-    are checked by hemisphericity_witness (NotHemispherical propagates),
-    whose poles are not read, so where the generator sums are poles the cone
-    LP is the only LP.
+    mu are normalized as on every route, sum lam + sum mu = 1.  So a
+    disjoint pair whose generator sums are poles and whose pole difference
+    separates costs no LP, and an intersecting one only the cone LP.
     """
     _require_same_dimension(b1, b2)
-    hemisphericity_witness(b1, cfg)
-    hemisphericity_witness(b2, cfg)
+    toward = _pole_difference(hemisphericity_witness(b1, cfg), hemisphericity_witness(b2, cfg))
+    if toward is not None and wedge_membership(b1, b2, toward, cfg).member:
+        return None
     g1, g2 = b1.generators, b2.generators
     m1, m2 = g1.shape[0], g2.shape[0]
     d = g1.shape[1]
@@ -283,15 +297,21 @@ _ROWS_PER_STEP = 8
 
 
 class _HullRows:
-    """Vertex rows of the proof path's hull separations, built once, and the
-    working set of them that its LPs have needed so far.
+    """Vertex rows of the proof path's hull separations, built once, the
+    working set of them that its LPs have needed so far, and the optimum
+    that carries to every later contraction round, once one does.
 
     Over the variables (P, a, b, alpha, beta, tau) of the contracted
     separation LP, body 1's vertex y gives the row a - P . y <= 0
     (a <= P . y) and body 2's vertex y the row P . y - b <= 0 (b >= P . y);
-    the alpha, beta and tau columns are zero.  The working set starts at one
-    row per body and only grows, so every LP of a proof path starts from the
-    rows that its earlier contraction rounds found binding.
+    the alpha, beta and tau columns are zero.  The working set starts at
+    the first row of each body, or, after start_toward, at the rows a
+    direction ranks worst.  It only grows, so every LP of a proof path
+    starts from the rows that its earlier rounds found binding.
+
+    ``carried`` is None until _separating_hyperplane_contracted certifies
+    its optimum for every smaller sigma; it then holds (sigma, x), and
+    later rounds read their hyperplane off x (_carried_hyperplane).
     """
 
     def __init__(self, v1: np.ndarray, v2: np.ndarray):
@@ -305,6 +325,22 @@ class _HullRows:
         self.bodies = (slice(0, m1), slice(m1, rows.shape[0]))
         self.work = np.zeros(rows.shape[0], dtype=bool)
         self.work[[0, m1]] = True
+        self.carried: tuple[float, np.ndarray] | None = None
+
+    def start_toward(self, toward: np.ndarray | None) -> None:
+        """Restart the working set at the _ROWS_PER_STEP rows per body that
+        direction ``toward`` (from body 2 toward body 1) ranks worst: body
+        1's vertices lowest along it and body 2's highest.  None leaves the
+        working set as it is."""
+        if toward is None:
+            return
+        self.work[:] = False
+        d = self.rows.shape[1] - 5
+        # a row's excess a - P . y (body 1) or P . y - b (body 2) at P = toward
+        excess = self.rows[:, :d] @ toward
+        for body in self.bodies:
+            worst = np.argsort(-excess[body], kind="stable")[:_ROWS_PER_STEP]
+            self.work[body.start + worst] = True
 
     def add_violated(self, x: np.ndarray) -> bool:
         """Add to the working set the (up to) _ROWS_PER_STEP rows of each
@@ -320,6 +356,36 @@ class _HullRows:
             self.work[body.start + worst] = True
             added |= worst.size > 0
         return added
+
+
+def _hyperplane(x: np.ndarray, sigma: float) -> tuple[Hyperplane, float]:
+    """The unit-normal hyperplane and geometric slack of a point
+    x = (P, a, b, alpha, beta, tau) of the contracted separation LP at sigma:
+    t = sigma tau and r = (max(beta + t, -1) + min(alpha - t, 1)) / 2,
+    rescaled by |P|."""
+    d = x.size - 5
+    p, alpha, beta = x[:d], x[d + 2], x[d + 3]
+    t = sigma * x[d + 4]
+    r = (max(beta + t, -1.0) + min(alpha - t, 1.0)) / 2.0
+    nrm = float(np.linalg.norm(p))
+    if nrm <= _TOL:
+        raise ContractionStalled("degenerate zero normal in hull separation")
+    return Hyperplane(normal=p / nrm, offset=r / nrm), t / nrm
+
+
+def _carried_hyperplane(hull: _HullRows, sigma: float) -> tuple[Hyperplane, float] | None:
+    """The separation at sigma read off hull.carried without an LP, or None
+    when nothing is carried or sigma exceeds the sigma it was certified at.
+
+    The carried optimum (P, a, b, tau) stays optimal at every smaller
+    sigma with alpha = sigma a and beta = sigma b; see
+    _separating_hyperplane_contracted."""
+    if hull.carried is None or sigma > hull.carried[0]:
+        return None
+    x = hull.carried[1].copy()
+    d = x.size - 5
+    x[d + 2], x[d + 3] = sigma * x[d], sigma * x[d + 1]
+    return _hyperplane(x, sigma)
 
 
 def _separating_hyperplane_contracted(
@@ -364,6 +430,18 @@ def _separating_hyperplane_contracted(
     solves of one call share its pivot budget.  Returns the hyperplane
     normalized to unit normal (offset and slack rescale with it), plus the
     geometric slack.
+
+    The optimum also settles every later round.  When it straddles the
+    origin (a >= 0 >= b) and the duals of the two box caps
+    (sigma tau <= alpha + 1, sigma tau <= 1 - beta) are zero within the
+    simplex tolerance, then for every sigma' <= sigma the point
+    (P, a, b, sigma' a, sigma' b, tau) is feasible, and it is optimal: keep
+    the vertex-row and box duals, and solve the stationarity of the free
+    columns alpha, beta, tau for the other cap duals (those of
+    alpha <= sigma' a, sigma' b <= beta and 2 sigma' tau <= alpha - beta
+    become 1 / (2 sigma')).  That dual is feasible with the same objective.
+    Such an optimum is stored as ``hull.carried``, which the proof path
+    reads instead of solving again.
     """
     d = hull.rows.shape[1] - 5
     # variables: P_1..P_d, a, b, alpha, beta, tau
@@ -401,17 +479,16 @@ def _separating_hyperplane_contracted(
         # box and one row per body), so not optimal is a numerical breakdown
         if out.status is not LpStatus.OPTIMAL or not hull.add_violated(out.solution):
             break
-    if out.status is not LpStatus.OPTIMAL or out.solution[itau] <= _TOL:
+    x = out.solution
+    if out.status is not LpStatus.OPTIMAL or x[itau] <= _TOL:
         raise ContractionStalled(
             "contracted hull separation LP found no positive slack"
         )
-    p, alpha, beta = out.solution[:d], out.solution[ial], out.solution[ibe]
-    t = sigma * out.solution[itau]
-    r = (max(beta + t, -1.0) + min(alpha - t, 1.0)) / 2.0
-    nrm = float(np.linalg.norm(p))
-    if nrm <= _TOL:
-        raise ContractionStalled("degenerate zero normal in hull separation")
-    return Hyperplane(normal=p / nrm, offset=r / nrm), t / nrm
+    found = _hyperplane(x, sigma)
+    # the box caps are the last two rows
+    if x[ia] >= 0.0 >= x[ib] and np.max(out.duals[-2:]) <= _TOL:
+        hull.carried = (sigma, x)
+    return found
 
 
 def proof_path_witness(
@@ -427,13 +504,17 @@ def proof_path_witness(
     (2) Halving search for a fattening radius epsilon0 whose fattened
     pullbacks stay hemispherical and disjoint (starting at 0.5).
     (3) Max-slack hyperplane between the Euclidean hulls of the fattened
-    pullback generators: the contracted separation at sigma = 1.  (4) One
-    contraction loop, which runs while the offset magnitude is >= offset_tol
-    or the normal is not yet a strict member of the witness wedge of the
-    original bodies (wedge_membership): adjoin a contracted copy of each
-    vertex set (factor = current offset magnitude) and re-separate; the
-    offset strictly decreases each round.  (5) The final normal, oriented
-    toward body 1 by construction, is the witness.
+    pullback generators: the contracted separation at sigma = 1, whose row
+    generation starts at the vertices that the pole difference
+    normalize(p1 - p2) ranks worst.  (4) One contraction loop, which runs
+    while the offset magnitude is >= offset_tol or the normal is not yet a
+    strict member of the witness wedge of the original bodies
+    (wedge_membership): adjoin a contracted copy of each vertex set
+    (factor = current offset magnitude) and re-separate; the offset
+    strictly decreases each round.  Once a separation's optimum is
+    certified for every smaller factor, each later round reads its
+    hyperplane off it (_carried_hyperplane) and solves no LP.  (5) The
+    final normal, oriented toward body 1 by construction, is the witness.
 
     The contracted copies compose: round k's vertex set is V0 together with
     (delta_1 ... delta_k) V0, whose hull equals the iterated adjoin-and-hull
@@ -447,8 +528,8 @@ def proof_path_witness(
     or a zero offset leave the normal outside the wedge.
     """
     _require_same_dimension(b1, b2)
-    f1 = orthonormal_frame(hemisphericity_witness(b1, cfg))
-    f2 = orthonormal_frame(hemisphericity_witness(b2, cfg))
+    p1, p2 = hemisphericity_witness(b1, cfg), hemisphericity_witness(b2, cfg)
+    f1, f2 = orthonormal_frame(p1), orthonormal_frame(p2)
     poly1 = project_body(b1, f1, cfg)
     poly2 = project_body(b2, f2, cfg)
 
@@ -473,6 +554,7 @@ def proof_path_witness(
 
     # (3) separate the Euclidean hulls
     hull = _HullRows(x1.generators, x2.generators)
+    hull.start_toward(_pole_difference(p1, p2))
     hyp, _ = _separating_hyperplane_contracted(hull, 1.0, cfg)
     trace = ProofTrace(epsilon0=eps, offsets=[abs(hyp.offset)])
 
@@ -505,7 +587,9 @@ def proof_path_witness(
                 f"contraction rounds; offset is {prev:.3e}{why}"
             )
         sigma = max(sigma * prev, sigma_floor)
-        hyp, _ = _separating_hyperplane_contracted(hull, sigma, cfg)
+        hyp, _ = _carried_hyperplane(hull, sigma) or _separating_hyperplane_contracted(
+            hull, sigma, cfg
+        )
         if abs(hyp.offset) >= prev * (1.0 - _TOL):
             raise ContractionStalled(
                 f"offset magnitude stalled at {prev:.3e}{why} after "

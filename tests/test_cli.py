@@ -494,12 +494,13 @@ def test_disjoint_witness_lp_solves_one_lp(tmp_path, capsys, solve_sites):
     code, out, _ = run_cli(capsys, "witness", path, "--method", "lp")
     assert code == 0 and json.loads(out)["status"] == "disjoint"
     assert len(solve_sites) == 1
-    # check stays the cone oracle, whose LP reads no pole; both generator
-    # sums are poles, so no hemisphericity LP runs
+    # check: both generator sums are poles, so no hemisphericity LP runs,
+    # and the normalized difference of the two is a wedge member, which
+    # certifies disjointness before the cone LP
     solve_sites.clear()
     code, _, _ = run_cli(capsys, "check", path)
     assert code == 0
-    assert solve_sites == ["primal_intersect"]
+    assert solve_sites == []
 
 
 def test_intersecting_witness_lp_solves_one_lp(tmp_path, capsys, solve_sites):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import math
@@ -27,6 +28,8 @@ from sphsep.separation import (
     Hyperplane,
     SeparationCertificate,
     _HullRows,
+    _carried_hyperplane,
+    _pole_difference,
     _separating_hyperplane_contracted,
     dual_witness,
     primal_intersect,
@@ -42,6 +45,7 @@ from .oracles import (
     dual_witness_oracle,
     lp_optimal_at,
     lp_oracle,
+    lp_residual,
     nnls_residual,
     openness_probe_oracle,
     primal_intersect_oracle,
@@ -237,7 +241,7 @@ def test_proof_path_contraction_round_cap():
 
 @pytest.mark.parametrize("dim, seed, offsets, margin", [
     (1, 0, [0.3649246304000097, 0.006834912884345232], 0.1124793875195785),
-    (2, 10, [0.3219262590898708, 0.03332249520976107], 0.1787663928303213),
+    (2, 10, [0.32192625908987044, 0.03332249520976104], 0.17876639283032103),
 ], ids=["S1-seed0", "S2-seed10"])  # named by case, so a re-pin keeps the ids
 def test_proof_path_rounds_after_offset_below_tol(dim, seed, offsets, margin):
     # with offset_tol = 0.5 the first offset is already below it, but the
@@ -305,7 +309,7 @@ def _proof_path_pin_cases():
 # sha256 of the proof path's fattening radii, offsets, witnesses and margins
 # over _proof_path_pin_cases: any change to the fattening search, a hull
 # separation or the contraction schedule changes it
-_PROOF_PATH_SHA256 = "1fb89c4b597f5af491b246eeb5b53602e5e90713457a4a55d96e1d42941de92f"
+_PROOF_PATH_SHA256 = "9eb360586526ce7d9ae48708f76d8846fd3b12d8fffc511d3a2b2257558749c9"
 
 
 def test_proof_path_bits_pinned():
@@ -435,8 +439,11 @@ def test_nnls_residual_reaches_ill_conditioned_cone_members():
 
 def test_hull_solves_see_a_few_dozen_rows(monkeypatch):
     # the S^8 24+24 proof path separates 384+384 fattened vertices, yet no
-    # LP it solves has more than a few dozen rows; every separation, the
-    # first and one per contraction round, takes at least one solve
+    # LP it solves has more than a few dozen rows.  The first separation
+    # starts at the 8 + 8 rows the pole difference ranks worst, and they
+    # already hold its optimum: one solve, with no row added.  That optimum
+    # straddles the origin with slack box caps, so it carries to every
+    # contraction round, and no round solves an LP
     rows = []
     hull_solves = []
 
@@ -449,9 +456,199 @@ def test_hull_solves_see_a_few_dozen_rows(monkeypatch):
     monkeypatch.setattr(sphsep.separation, "solve", spy)
     b1, b2 = generate(InstanceSpec(dimension=8, k1=24, k2=24, seed=11, mode=Mode.FORCE_DISJOINT))
     cert, trace = proof_path_witness(b1, b2)
-    assert cert.margin > 0 and trace.iterations >= 1
-    assert len(hull_solves) >= trace.iterations + 1
+    assert cert.margin > 0 and trace.iterations == 3
+    assert hull_solves == [2 * 8 + 7]
     assert max(rows) <= 48, rows
+
+
+def _carried_rounds(monkeypatch, b1, b2, cfg):
+    """Every contraction round of the proof path on (b1, b2) that is read
+    off a carried optimum, as (a copy of the hull that round saw, sigma,
+    the hyperplane it got)."""
+    seen = []
+    carried = sphsep.separation._carried_hyperplane
+
+    def spy(hull, sigma):
+        got = carried(hull, sigma)
+        if got is not None:
+            seen.append((copy.deepcopy(hull), sigma, got[0]))
+        return got
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sphsep.separation, "_carried_hyperplane", spy)
+        proof_path_witness(b1, b2, cfg)
+    return seen
+
+
+def _assert_carried_rounds_are_optima(monkeypatch, seen, cfg):
+    # The carried point (P, a, b, sigma a, sigma b, tau) must be an optimum
+    # of the round's LP with every vertex row, certified by LP duality, and
+    # re-solving the round must give the same hyperplane.  Optimality is
+    # checked in t = sigma tau: the same LP with its tau column scaled by
+    # sigma, which moves no optimum.  In tau the cap duals are 1 / (2 sigma),
+    # 5e6 at the floor sigma = 1e-7, past what the nonnegative least-squares
+    # check resolves at its 1e-9 tolerance; in t they are at most 1.
+    for hull, sigma, hyp in seen:
+        sigma0, x = hull.carried
+        d = x.size - 5
+        assert sigma <= sigma0 and x[d] >= 0.0 >= x[d + 1]
+        point = x.copy()
+        point[d + 2], point[d + 3], point[d + 4] = sigma * x[d], sigma * x[d + 1], sigma * x[d + 4]
+        solves = []
+
+        def spy(lp, *args, **kwargs):
+            solves.append(lp)
+            return solve(lp, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sphsep.separation, "solve", spy)
+            again, _ = _separating_hyperplane_contracted(hull, sigma, cfg)
+        lp = solves[-1]
+        caps = slice(int(hull.work.sum()), None)
+        every_row = np.vstack([hull.rows, lp.constraints[caps]])
+        every_row[:, d + 4] /= sigma
+        rhs = np.concatenate([np.zeros(hull.rows.shape[0]), lp.rhs[caps]])
+        full = LinearProgram(lp.objective, every_row, LE, rhs, lp.lower, lp.upper)
+        assert lp_optimal_at(full, point), sigma
+        assert np.max(np.abs(again.normal - hyp.normal)) <= 1e-12, sigma
+        assert abs(again.offset - hyp.offset) <= 1e-12, sigma
+
+
+def test_carried_rounds_are_optima_on_the_pin_cases(monkeypatch):
+    carried = 0
+    for (b1, b2), cfg in _proof_path_pin_cases():
+        seen = _carried_rounds(monkeypatch, b1, b2, cfg)
+        _assert_carried_rounds_are_optima(monkeypatch, seen, cfg)
+        carried += len(seen)
+    assert carried >= 150, carried
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_carried_rounds_are_optima_near_contact(monkeypatch, n):
+    cfg = ToleranceConfig()
+    carried = 0
+    for target in (1e-4, 1e-5):
+        for b1, b2 in _near_contact_pairs(n, target, 10):
+            seen = _carried_rounds(monkeypatch, b1, b2, cfg)
+            _assert_carried_rounds_are_optima(monkeypatch, seen, cfg)
+            carried += len(seen)
+    assert carried >= 5, carried
+
+
+@pytest.mark.parametrize("n, m", [(8, 24), (20, 40)])
+def test_carried_rounds_are_optima_on_large_proof_paths(monkeypatch, n, m):
+    b1, b2 = generate(InstanceSpec(dimension=n, k1=m, k2=m, seed=11, mode=Mode.FORCE_DISJOINT))
+    cfg = ToleranceConfig()
+    seen = _carried_rounds(monkeypatch, b1, b2, cfg)
+    assert seen
+    _assert_carried_rounds_are_optima(monkeypatch, seen, cfg)
+
+
+def _union_hull(seed, c1, c2, spread=0.5):
+    """Vertex sets of three points around c1 and c2, drawn as in
+    test_contracted_separation_matches_materialized_union."""
+    rng = np.random.default_rng(seed)
+    v1 = np.array(c1) + spread * rng.standard_normal((3, 2))
+    v2 = np.array(c2) + spread * rng.standard_normal((3, 2))
+    return _HullRows(v1, v2)
+
+
+@pytest.mark.parametrize("c1, c2", [((0.6, 0.0), (0.2, 0.0)), ((0.2, 0.0), (0.6, 0.0))])
+def test_one_sided_optimum_is_solved_again(monkeypatch, c1, c2):
+    # small hulls on one side of the origin: the sigma = 1 optimum leaves
+    # both box caps slack (duals 0), but a and b have one sign, so
+    # (P, a, b, sigma a, sigma b, tau) is infeasible at smaller sigma
+    # (sigma b < b for b > 0, sigma a > a for a < 0): it must not be
+    # carried, and the next round is solved
+    cfg = ToleranceConfig()
+    hull = _union_hull(3, c1, c2, spread=0.05)
+    solved = []
+
+    def spy(lp, *args, **kwargs):
+        out = solve(lp, *args, **kwargs)
+        solved.append((lp, out))
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sphsep.separation, "solve", spy)
+        _separating_hyperplane_contracted(hull, 1.0, cfg)
+        x, duals = solved[-1][1].solution, solved[-1][1].duals
+        _separating_hyperplane_contracted(hull, 0.5, cfg)
+    assert np.max(duals[-2:]) <= _TOL and not x[2] >= 0.0 >= x[3]
+    assert hull.carried is None and _carried_hyperplane(hull, 0.5) is None
+    point = x.copy()
+    point[4], point[5] = 0.5 * x[2], 0.5 * x[3]
+    assert lp_residual(solved[-1][0], point) > 0.05
+
+
+def test_box_capped_optimum_is_solved_again():
+    # hulls on opposite sides of the origin, but the sigma = 1 optimum sits
+    # on the box cap sigma tau <= alpha + 1 (dual 0.22): it is not carried,
+    # and rightly so, since at sigma = 0.5 that cap has room and the
+    # optimum moves to another normal
+    cfg = ToleranceConfig()
+    hull = _union_hull(21, (3.0, 0.0), (-3.0, 1.0))
+    hyp, _ = _separating_hyperplane_contracted(hull, 1.0, cfg)
+    assert hull.carried is None
+    # a carried round would have kept the sigma = 1 normal
+    half, _ = _separating_hyperplane_contracted(_union_hull(21, (3.0, 0.0), (-3.0, 1.0)), 0.5, cfg)
+    assert np.max(np.abs(half.normal - hyp.normal)) > 0.05
+
+
+def test_straddling_optimum_carries_to_smaller_sigma():
+    # hulls on opposite sides of the origin with slack box caps: the
+    # sigma = 1 optimum is carried, and the hyperplane read off it at
+    # sigma = 0.5 is the one a solve on a fresh hull finds
+    cfg = ToleranceConfig()
+    for seed in (3, 9):
+        hull = _union_hull(seed, (3.0, 0.0), (-3.0, 1.0))
+        _separating_hyperplane_contracted(hull, 1.0, cfg)
+        assert hull.carried is not None and hull.carried[0] == 1.0
+        assert _carried_hyperplane(hull, 1.5) is None
+        hyp, slack = _carried_hyperplane(hull, 0.5)
+        want, want_slack = _separating_hyperplane_contracted(
+            _union_hull(seed, (3.0, 0.0), (-3.0, 1.0)), 0.5, cfg
+        )
+        assert np.max(np.abs(hyp.normal - want.normal)) <= 1e-12
+        assert abs(hyp.offset - want.offset) <= 1e-12
+        assert abs(slack - want_slack) <= 1e-12
+
+
+def test_rounds_after_the_certified_round_solve_no_lp(monkeypatch):
+    # on the S^8 24+24 proof path, once a separation's optimum is certified
+    # for every smaller sigma, every later round is read off it: no solve
+    events = []
+
+    def solve_spy(lp, *args, **kwargs):
+        events.append("solve")
+        return solve(lp, *args, **kwargs)
+
+    separate = sphsep.separation._separating_hyperplane_contracted
+
+    def separate_spy(hull, sigma, cfg):
+        got = separate(hull, sigma, cfg)
+        events.append("solved" if hull.carried is None else "certified")
+        return got
+
+    carried = sphsep.separation._carried_hyperplane
+
+    def carried_spy(hull, sigma):
+        got = carried(hull, sigma)
+        if got is not None:
+            events.append("carried")
+        return got
+
+    for module in (sphsep.convexity, sphsep.separation):
+        monkeypatch.setattr(module, "solve", solve_spy)
+    monkeypatch.setattr(sphsep.separation, "_separating_hyperplane_contracted", separate_spy)
+    monkeypatch.setattr(sphsep.separation, "_carried_hyperplane", carried_spy)
+    b1, b2 = generate(InstanceSpec(dimension=8, k1=24, k2=24, seed=11, mode=Mode.FORCE_DISJOINT))
+    cert, trace = proof_path_witness(b1, b2)
+    assert cert.margin > 0 and trace.iterations >= 1
+    rounds = [e for e in events if e != "solve"]
+    assert len(rounds) == trace.iterations + 1
+    after = events[events.index("certified") + 1 :]
+    assert after == ["carried"] * len(after) and after
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -532,14 +729,16 @@ def test_intersecting_dual_witness_solves_one_lp(solve_sites):
 
 
 def test_primal_intersect_solves_only_the_cone_lp(solve_sites):
-    # the cone LP is scaled by sum lam = 1 and reads no pole, and each
-    # cap's generator sum proves its body hemispherical
-    for b1, b2 in (disjoint_pair(seed=1, dim=3),
-                   generate(InstanceSpec(dimension=3, k1=4, k2=4, seed=1,
-                                         mode=Mode.FORCE_INTERSECTING))):
-        solve_sites.clear()
-        primal_intersect(b1, b2)
-        assert solve_sites == ["primal_intersect"]
+    # each cap's generator sum proves its body hemispherical; on the
+    # disjoint pair the normalized difference of the two sums is a wedge
+    # member, which certifies disjointness without an LP, and the
+    # intersecting pair takes the cone LP alone
+    b1, b2 = disjoint_pair(seed=1, dim=3)
+    assert primal_intersect(b1, b2) is None
+    assert solve_sites == []
+    spec = InstanceSpec(dimension=3, k1=4, k2=4, seed=1, mode=Mode.FORCE_INTERSECTING)
+    assert primal_intersect(*generate(spec)).kind == "intersecting"
+    assert solve_sites == ["primal_intersect"]
 
 
 def _lopsided_s1_body():
@@ -585,6 +784,43 @@ def test_generator_sum_that_is_no_pole_falls_back_to_the_lp(monkeypatch):
     far = SphericalBody(np.array([[np.cos(-1.5), np.sin(-1.5)]]))
     assert primal_intersect(far, body) is None and only_the_lopsided_body_solved()
     assert _dual_outcome(dual_witness, far, body) == _dual_outcome(dual_witness_oracle, far, body)
+
+
+def test_disjoint_pair_off_the_pole_difference_takes_the_cone_lp(solve_sites):
+    # a point at angle -1.5 against the lopsided arc [0, pi - 0.1]: the arc's
+    # pole comes from the LP (near angle 1.52), and the normalized
+    # difference of the two poles sees the arc's end at angle 0 at a negative
+    # dot, so it certifies nothing and the cone LP decides
+    body = _lopsided_s1_body()
+    far = SphericalBody(np.array([[np.cos(-1.5), np.sin(-1.5)]]))
+    toward = _pole_difference(far.generators[0], sphsep.convexity.hemisphericity_witness(body))
+    assert not wedge_membership(far, body, toward).member
+    solve_sites.clear()
+    assert primal_intersect(far, body) is None
+    assert solve_sites == ["hemisphericity_witness", "primal_intersect"]
+    assert primal_intersect_oracle(far, body) is None
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_cap_pairs_certify_disjointness_without_an_lp(monkeypatch, solve_sites, dim):
+    # caps: the generator sums are poles and their normalized difference is
+    # a wedge member, both for the bodies (check) and for the fattened
+    # pullbacks at the proof path's accepted radius
+    b1, b2 = disjoint_pair(seed=0, dim=dim, k1=6, k2=5)
+    solve_sites.clear()
+    assert primal_intersect(b1, b2) is None
+    assert solve_sites == []
+    verdicts = []
+    inner = sphsep.separation.primal_intersect
+
+    def spy(c1, c2, cfg):
+        before = len(solve_sites)
+        verdicts.append((inner(c1, c2, cfg), solve_sites[before:]))
+        return verdicts[-1][0]
+
+    monkeypatch.setattr(sphsep.separation, "primal_intersect", spy)
+    proof_path_witness(b1, b2)
+    assert verdicts[-1] == (None, [])
 
 
 def _oracles_style_pairs(count, seed):
