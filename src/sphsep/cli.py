@@ -11,9 +11,9 @@ Commands
 Files are UTF-8 JSON.  An instance file holds {"n": ..., "w1": [[...]],
 "w2": [[...]]} with optional {"tolerances": {...}} overrides of
 margin_tol, offset_tol and max_iter; n and every coordinate must be JSON
-numbers (not booleans or strings).  Rows are normalized on load (rejected
-below norm 1e-6 or at a norm that is not finite, warned about on stderr
-when not unit).  Result documents are emitted to stdout with fixed key
+numbers (not booleans or strings).  A row is rejected below norm 1e-6 or at
+a non-finite norm, read as it is within 1e-12 of unit norm, else normalized
+with a note on stderr.  Result documents are emitted to stdout with fixed key
 order so identical inputs produce identical bytes; timing goes to stderr.
 
 Exit codes (stable):
@@ -116,11 +116,12 @@ def _body_from(data: dict, key: str, n: int) -> SphericalBody:
             raise _InputError(f'"{key}"[{i}] has norm {nrm}; a row needs a finite norm')
         if nrm < 1e-6:
             raise _InputError(f'"{key}"[{i}] has norm {nrm:.2e}, below 1e-6')
-        if abs(nrm - 1.0) > _UNIT_TOL:
+        if abs(nrm - 1.0) > _UNIT_TOL:  # a unit row is read as it is
             sys.stderr.write(
                 f'note: normalized "{key}"[{i}] (norm was {nrm:.12g})\n'
             )
-        cleaned.append(vec / nrm)
+            vec = vec / nrm
+        cleaned.append(vec)
     return SphericalBody(np.array(cleaned))
 
 
@@ -287,7 +288,7 @@ def _hull_edges_2d(points: np.ndarray) -> list[tuple[int, int]]:
     order = np.lexsort((points[:, 1], points[:, 0]))
     uniq: list[int] = []
     for idx in order:
-        if not uniq or np.max(np.abs(points[idx] - points[uniq[-1]])) > 1e-12:
+        if not uniq or np.max(np.abs(points[idx] - points[uniq[-1]])) > _UNIT_TOL:
             uniq.append(int(idx))
     if len(uniq) < 2:
         return []

@@ -16,14 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeEpsilon, NotHemispherical, ZeroVector
+from .errors import DimensionMismatch, NegativeEpsilon, NotHemispherical
 from .geometry import (
     DEFAULT_CONFIG,
     _SHAPE_TOL,
     _UNIT_TOL,
     TangentFrame,
     ToleranceConfig,
+    _rows,
+    _unit_rows,
     central_project,
+    central_unproject,
     normalize,
 )
 from .lp import LE, LinearProgram, LpOutcome, LpStatus, solve
@@ -94,20 +97,12 @@ class SphericalBody:
 
     @classmethod
     def from_points(cls, points) -> "SphericalBody":
-        """Body of the given points, each row scaled to unit length.
+        """Body of the given points, each row scaled by geometry._unit_rows.
 
         Raises ValueError on input that is not a matrix of finite numbers
         and ZeroVector when some row has norm at or below 1e-12.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.ndim != 2:
-            raise ValueError(f"vector must be one-dimensional, got shape {pts.shape[1:]}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("vector contains non-finite entries")
-        norms = np.linalg.norm(pts, axis=-1, keepdims=True)
-        if np.any(norms <= _UNIT_TOL):
-            raise ZeroVector(f"cannot normalize vector with norm {norms.min():.3e}")
-        return cls(generators=pts / norms)
+        return cls(generators=_unit_rows(np.atleast_2d(_rows(points, "points"))))
 
     @property
     def n(self) -> int:
@@ -218,14 +213,13 @@ def project_body(
     frame: TangentFrame,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
 ) -> TangentPolytope:
-    """Image of the generators under the central projection at frame.base.
+    """Image of the generators under one central_project call at frame.base.
 
     Requires every generator to lie in the open hemisphere of frame.base
     (raises OutsideOpenHemisphere otherwise).  The spherical hull of the body
     corresponds to the affine hull polytope of the output.
     """
-    verts = np.array([central_project(frame, q, cfg) for q in body.generators])
-    return TangentPolytope(frame=frame, vertices=verts)
+    return TangentPolytope(frame=frame, vertices=central_project(frame, body.generators, cfg))
 
 
 def fatten(poly: TangentPolytope, eps: float) -> TangentPolytope:
@@ -240,19 +234,18 @@ def fatten(poly: TangentPolytope, eps: float) -> TangentPolytope:
     if eps == 0:
         return poly
     n = poly.frame.n
+    axis = np.arange(n)
     offsets = np.zeros((2 * n, n))
-    for k in range(n):
-        offsets[2 * k, k] = eps
-        offsets[2 * k + 1, k] = -eps
+    offsets[2 * axis, axis] = eps
+    offsets[2 * axis + 1, axis] = -eps
     fat = (poly.vertices[:, None, :] + offsets[None, :, :]).reshape(-1, n)
     return TangentPolytope(frame=poly.frame, vertices=fat)
 
 
 def pullback(poly: TangentPolytope) -> SphericalBody:
-    """Body whose generators are the unprojections of the polytope vertices.
+    """Body of the polytope vertices, unprojected by one central_unproject call.
 
     Always hemispherical with witness frame.base, since every unprojected
     point has dot 1/sqrt(1 + |x|^2) > 0 against the base.
     """
-    frame = poly.frame
-    return SphericalBody.from_points(frame.base + poly.vertices @ frame.basis)
+    return SphericalBody(central_unproject(poly.frame, poly.vertices))

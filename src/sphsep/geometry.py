@@ -1,9 +1,11 @@
 """Primitives on the unit sphere S^n sitting in R^{n+1}.
 
 Points on S^n are plain numpy arrays of length n+1 with unit Euclidean
-norm.  Tangent spaces are realized concretely: a ``TangentFrame`` carries
-an explicit orthonormal basis of the tangent space at its base point, so
-central (gnomonic) projection lands in ordinary R^n coordinates.
+norm, and a set of points is a matrix with one point per row.  Tangent
+spaces are realized concretely: a ``TangentFrame`` carries an explicit
+orthonormal basis of the tangent space at its base point, so central
+(gnomonic) projection, row by row on the last axis, lands in ordinary R^n
+coordinates.
 """
 
 from __future__ import annotations
@@ -79,6 +81,24 @@ def _as_float_array(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _rows(x, name: str, width: int | None = None) -> np.ndarray:
+    """A point or a row matrix of points, finite, of ``width`` entries if given."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim not in (1, 2) or width not in (None, arr.shape[-1]):
+        raise ValueError(f"{name} must be a point or rows of {width} entries, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _unit_rows(pts: np.ndarray) -> np.ndarray:
+    """Rows of ``pts`` scaled to unit length; ZeroVector at a norm <= 1e-12."""
+    norms = np.linalg.norm(pts, axis=-1, keepdims=True)
+    if np.any(norms <= _UNIT_TOL):
+        raise ZeroVector(f"cannot normalize vector with norm {norms.min():.3e}")
+    return pts / norms
+
+
 def normalize(v) -> np.ndarray:
     """Scale ``v`` to unit length.
 
@@ -103,8 +123,8 @@ class TangentFrame:
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        base = _as_float_array(self.base, "base")
-        basis = np.asarray(self.basis, dtype=float)
+        base = _as_float_array(self.base, "base").copy()
+        basis = np.array(self.basis, dtype=float)
         if basis.ndim != 2 or basis.shape != (base.size - 1, base.size):
             raise ValueError(
                 f"basis must have shape ({base.size - 1}, {base.size}), got {basis.shape}"
@@ -130,55 +150,39 @@ class TangentFrame:
 def orthonormal_frame(base) -> TangentFrame:
     """Deterministic tangent frame at ``base``.
 
-    Gram-Schmidt over the standard basis vectors, skipping the axis most
-    parallel to ``base``; the same base always yields the same frame.
+    One QR of the columns [base, e_j for each axis j but the one most
+    parallel to base], Q's columns signed by diag(R): the Gram-Schmidt frame
+    of those axes, so the same base always yields the same frame.  A base
+    that is not unit length fails TangentFrame's checks (ValueError).
     """
     b = _as_float_array(base, "base")
-    if abs(np.linalg.norm(b) - 1.0) > _SHAPE_TOL:
-        raise ValueError("base point must be unit length")
-    d = b.size
-    skip = int(np.argmax(np.abs(b)))
-    rows: list[np.ndarray] = []
-    for j in range(d):
-        if j == skip:
-            continue
-        v = np.zeros(d)
-        v[j] = 1.0
-        v -= (v @ b) * b
-        for r in rows:
-            v -= (v @ r) * r
-        # second pass for orthogonality at machine precision
-        v -= (v @ b) * b
-        for r in rows:
-            v -= (v @ r) * r
-        rows.append(v / np.linalg.norm(v))
-    return TangentFrame(base=b, basis=np.array(rows))
+    axes = np.delete(np.eye(b.size), int(np.argmax(np.abs(b))), axis=1)
+    q, r = np.linalg.qr(np.column_stack([b, axes]))
+    return TangentFrame(base=b, basis=(q * np.sign(np.diag(r)))[:, 1:].T)
 
 
 def central_project(
     frame: TangentFrame, q, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """Gnomonic projection of ``q`` into the tangent coordinates of ``frame``.
+    """Gnomonic projection of ``q``, a point or a matrix of points as rows,
+    into the tangent coordinates of ``frame``.
 
-    Maps q to the coordinates of q/(base.q) - base in the frame basis.
-    Requires base.q > cfg.margin_tol; the division blows up at the equator.
+    Maps each q to the coordinates of q/(base.q) - base in the frame basis.
+    Requires min base.q > cfg.margin_tol; the division blows up at the equator.
     """
-    qv = _as_float_array(q, "q")
-    dot = float(frame.base @ qv)
-    if dot <= cfg.margin_tol:
+    qv = _rows(q, "q", frame.n + 1)
+    dots = qv @ frame.base
+    if np.min(dots) <= cfg.margin_tol:
         raise OutsideOpenHemisphere(
-            f"point has base dot {dot:.3e} <= margin_tol {cfg.margin_tol:.1e}"
+            f"point has base dot {np.min(dots):.3e} <= margin_tol {cfg.margin_tol:.1e}"
         )
-    return (frame.basis @ qv) / dot
+    return (qv @ frame.basis.T) / dots[..., None]
 
 
 def central_unproject(frame: TangentFrame, x) -> np.ndarray:
-    """Inverse gnomonic projection: tangent coordinates back to S^n.
+    """Inverse gnomonic projection: the rows of tangent coordinates ``x``
+    (a point or a matrix of points) back to unit rows on S^n.
 
     Every tangent point maps into the open hemisphere of ``frame.base``.
     """
-    xv = _as_float_array(x, "x")
-    if xv.size != frame.n:
-        raise ValueError(f"expected {frame.n} tangent coordinates, got {xv.size}")
-    v = frame.base + frame.basis.T @ xv
-    return v / np.linalg.norm(v)
+    return _unit_rows(frame.base + _rows(x, "x", frame.n) @ frame.basis)

@@ -41,12 +41,13 @@ from .errors import (
     IterationLimit,
     NotHemispherical,
     NumericallyAmbiguous,
-    ZeroVector,
 )
 from .geometry import (
     DEFAULT_CONFIG,
+    _SHAPE_TOL,
     _UNIT_TOL,
     ToleranceConfig,
+    _unit_rows,
     normalize,
     orthonormal_frame,
 )
@@ -74,7 +75,7 @@ class Hyperplane:
 
     def __post_init__(self) -> None:
         nrm = np.asarray(self.normal, dtype=float)
-        if abs(np.linalg.norm(nrm) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(nrm) - 1.0) > _SHAPE_TOL:
             raise DimensionMismatch("hyperplane normal must be a unit vector")
         nrm = nrm.copy()
         nrm.flags.writeable = False
@@ -622,8 +623,8 @@ def wedge_openness_probe(
     The k directions come from one (k, d) standard-normal draw, the same
     stream as k draws of d, and all samples are projected, normalized and
     measured against both bodies by matrix products.  A direction whose
-    tangent part has norm at or below 1e-12 raises ZeroVector, as
-    normalize would.
+    tangent part has norm at or below 1e-12 raises ZeroVector, from the
+    geometry layer's row normalizer.
     """
     if k <= 0:
         return np.inf
@@ -638,10 +639,7 @@ def wedge_openness_probe(
     theta = base.margin / 2.0
     raw = rng.standard_normal((k, pv.size))
     raw -= np.outer(raw @ pv, pv)
-    norms = np.linalg.norm(raw, axis=1)
-    if norms.min() <= _UNIT_TOL:
-        raise ZeroVector(f"cannot normalize vector with norm {norms.min():.3e}")
-    perturbed = np.cos(theta) * pv + np.sin(theta) * (raw / norms[:, None])
+    perturbed = np.cos(theta) * pv + np.sin(theta) * _unit_rows(raw)
     margins = np.minimum(
         (perturbed @ b1.generators.T).min(axis=1),
         -(perturbed @ b2.generators.T).max(axis=1),

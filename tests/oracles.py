@@ -12,6 +12,8 @@ keeps the earlier order of dual_witness (both hemisphericity LPs before the
 pole LP), primal_intersect_oracle the cone LP scaled by body 1's
 hemisphericity pole, and box_pole_lp with box_dual_witness the pole LP in
 its box form, one row per generator, and dual_witness reading it.
+gram_schmidt_frame is the tangent frame orthonormal_frame reproduces by one
+QR factorization.
 """
 
 from __future__ import annotations
@@ -202,6 +204,26 @@ def separates(p: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> float:
     p.q and over body-2 generators of -p.r.  Positive means p separates."""
     pv = np.asarray(p, dtype=float)
     return min(float(np.min(g1 @ pv)), float(np.min(-(g2 @ pv))))
+
+
+def gram_schmidt_frame(base: np.ndarray) -> np.ndarray:
+    """Tangent basis at unit ``base`` (rows) by Gram-Schmidt over the
+    standard axes, skipping the axis most parallel to base, two passes per
+    axis for orthogonality at machine precision."""
+    d = base.size
+    skip = int(np.argmax(np.abs(base)))
+    rows: list[np.ndarray] = []
+    for j in range(d):
+        if j == skip:
+            continue
+        v = np.zeros(d)
+        v[j] = 1.0
+        for _ in range(2):
+            v -= (v @ base) * base
+            for r in rows:
+                v -= (v @ r) * r
+        rows.append(v / np.linalg.norm(v))
+    return np.array(rows)
 
 
 def dedupe_rows_oracle(rows: np.ndarray, tol: float) -> np.ndarray:

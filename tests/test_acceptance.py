@@ -121,19 +121,22 @@ def test_criterion_5_openness_probe(acceptance, equivalence_campaign):
 
 def test_criterion_6_geometry_kernel(acceptance):
     rng = np.random.default_rng(2024)
-    # projection round trip over random open-hemisphere points
+    # projection round trip over random open-hemisphere points, each frame's
+    # points as one row matrix through the matrix forms
     worst = 0.0
     samples = 0
     while samples < 1000:
         d = int(rng.integers(2, 7))
         base = normalize(rng.standard_normal(d))
         frame = orthonormal_frame(base)
-        q = normalize(rng.standard_normal(d))
-        if base @ q <= 0.05:  # equator blows up the projection; stay inside
+        q = rng.standard_normal((10, d))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        q = q[q @ base > 0.05][: 1000 - samples]  # equator blows up the projection
+        if not q.size:
             continue
         back = central_unproject(frame, central_project(frame, q))
-        worst = max(worst, float(np.linalg.norm(back - q)))
-        samples += 1
+        worst = max(worst, float(np.linalg.norm(back - q, axis=1).max()))
+        samples += q.shape[0]
     round_trip_ok = worst < 1e-12
 
     # fattening pushes original vertices strictly inside

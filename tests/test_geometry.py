@@ -1,10 +1,13 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
 
+import sphsep.geometry
 from sphsep.errors import OutsideOpenHemisphere, ZeroVector
 from sphsep.geometry import (
     DEFAULT_CONFIG,
@@ -15,6 +18,8 @@ from sphsep.geometry import (
     normalize,
     orthonormal_frame,
 )
+
+from .oracles import gram_schmidt_frame
 
 finite_coords = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -100,6 +105,29 @@ def test_frame_at_north_pole_is_axis_aligned():
     frame = orthonormal_frame(np.array([0.0, 0.0, 1.0]))
     assert frame.n == 2
     assert np.allclose(frame.basis, np.eye(3)[:2])
+
+
+def test_frame_is_the_gram_schmidt_frame():
+    # the one-QR frame is the Gram-Schmidt frame of the same axes: random
+    # bases over d = 2..9, 41 and 81, and every signed axis exactly
+    rng = np.random.default_rng(20)
+    for d in [*range(2, 10), 41, 81]:
+        for _ in range(20):
+            base = normalize(rng.standard_normal(d))
+            worst = np.max(np.abs(orthonormal_frame(base).basis - gram_schmidt_frame(base)))
+            assert worst < 1e-14, (d, worst)
+        for axis in np.vstack([np.eye(d), -np.eye(d)]):
+            assert np.array_equal(orthonormal_frame(axis).basis, gram_schmidt_frame(axis))
+
+
+def test_frame_does_not_freeze_the_callers_arrays():
+    base = np.array([0.0, 0.0, 1.0])
+    frame = orthonormal_frame(base)
+    assert base.flags.writeable
+    basis = np.array(frame.basis)
+    TangentFrame(base=base, basis=basis)
+    base[0] = basis[0, 0] = 0.5  # the caller's arrays stay theirs to change
+    assert frame.base[0] == 0.0
 
 
 def test_frame_deterministic():
@@ -189,3 +217,51 @@ def test_round_trip_from_sphere_side():
             continue
         x = central_project(frame, q)
         assert np.linalg.norm(central_unproject(frame, x) - q) < 1e-12
+
+
+def test_matrix_projection_pair_is_the_per_row_pair():
+    rng = np.random.default_rng(21)
+    for d in range(2, 10):
+        frame = orthonormal_frame(normalize(rng.standard_normal(d)))
+        q = rng.standard_normal((40, d))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        q = q[q @ frame.base > 0.05]
+        x = central_project(frame, q)
+        per_row = np.array([central_project(frame, row) for row in q])
+        scale = 1.0 + np.sum(x * x, axis=1, keepdims=True)
+        assert np.all(np.abs(x - per_row) <= 1e-15 * scale)
+        back = central_unproject(frame, x)
+        assert np.max(np.abs(back - [central_unproject(frame, row) for row in x])) < 1e-15
+        assert np.max(np.abs(back - q)) < 1e-12
+
+
+def test_project_rejects_a_matrix_with_one_row_outside():
+    frame = orthonormal_frame(np.array([0.0, 0.0, 1.0]))
+    q = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.8, 0.0, -0.6], [0.0, 0.6, 0.8]])
+    with pytest.raises(OutsideOpenHemisphere, match="-6.000e-01"):
+        central_project(frame, q)
+    assert central_project(frame, q[[0, 1, 3]]).shape == (3, 2)
+
+
+def test_projection_pair_checks_rows():
+    frame = orthonormal_frame(np.array([0.0, 0.0, 1.0]))
+    for bad in ([[0.0, 1.0]], np.ones((1, 1, 3)), [[0.0, np.nan, 1.0]]):
+        with pytest.raises(ValueError):
+            central_project(frame, bad)
+    for bad in ([[1.0, 2.0, 3.0]], [[np.inf, 0.0]]):
+        with pytest.raises(ValueError):
+            central_unproject(frame, bad)
+
+
+def test_every_geometry_name_has_a_caller_in_the_package():
+    # no public geometry API that only tests call: each exported name is
+    # imported by some other module of the package than its re-export
+    src = Path(sphsep.geometry.__file__).parent
+    imported = set()
+    for path in src.glob("*.py"):
+        if path.name in ("geometry.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "geometry":
+                imported |= {alias.name for alias in node.names}
+    assert sorted(set(sphsep.geometry.__all__) - imported) == []

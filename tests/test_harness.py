@@ -11,14 +11,13 @@ from sphsep.cli import _load_instance
 from sphsep.errors import GenerationFailed
 from sphsep.geometry import ToleranceConfig
 from sphsep.harness import (
-    CampaignReport,
     InstanceSpec,
     Mode,
     generate,
     run_equivalence_campaign,
 )
 from sphsep.lp import LpStatus, solve
-from sphsep.separation import dual_witness, primal_intersect, proof_path_witness
+from sphsep.separation import primal_intersect, proof_path_witness
 
 from .oracles import lp_residual
 
@@ -154,46 +153,53 @@ def test_campaign_solves_each_cone_lp_once(monkeypatch):
     assert len(pairs) == len(set(pairs))
 
 
+def test_generated_instances_read_back_bit_identical(tmp_path, capsys):
+    # a unit row is read as it is: a body written out from generate (rows
+    # within 1e-12 of unit norm) loads with the same bits and no note
+    for seed in range(50):
+        spec = InstanceSpec(1 + seed % 5, 6, 6, seed=seed, mode=Mode.FORCE_DISJOINT)
+        g1, g2 = generate(spec)
+        path = tmp_path / f"inst_{seed}.json"
+        path.write_text(json.dumps({"n": g1.n, "w1": g1.generators.tolist(),
+                                    "w2": g2.generators.tolist()}))
+        b1, b2, _ = _load_instance(str(path), None)
+        assert np.array_equal(b1.generators, g1.generators), seed
+        assert np.array_equal(b2.generators, g2.generators), seed
+    assert "normalized" not in capsys.readouterr().err
+
+
 def test_campaign_proof_path_is_the_clis(tmp_path, monkeypatch):
     # the deep check's proof path must be the one `witness --method
     # proof-path` runs: on a force-disjoint instance of the campaign, written
-    # out as an instance file, the witness, margin and trace the deep check
-    # builds, printed as the CLI prints them, are the CLI's stdout byte for
-    # byte.  The CLI divides every row by its norm, which can move a
-    # generated row by an ulp, so the deep check is run on the bodies as the
-    # CLI reads them.
+    # out as an instance file, the witness, margin and trace the campaign's
+    # deep check built on the generated bodies, printed as the CLI prints
+    # them, are the CLI's stdout byte for byte
     import sphsep.harness
 
     drawn = []
-    checks = sphsep.harness._deep_checks
-
-    def keep_force_disjoint(report, tag, b1, b2, *args):
-        if "force-disjoint" in tag:
-            drawn.append((b1, b2))
-        checks(report, tag, b1, b2, *args)
-
-    monkeypatch.setattr(sphsep.harness, "_deep_checks", keep_force_disjoint)
-    report = run_equivalence_campaign(12, [1, 2, 3], [3, 5], seed=9)
-    monkeypatch.undo()
-    assert report.failures == [] and len(drawn) == 3
-
     runs = []
+    checks = sphsep.harness._deep_checks
 
     def recording(*args, **kwargs):
         runs.append(proof_path_witness(*args, **kwargs))
         return runs[-1]
 
+    def keep_force_disjoint(report, tag, b1, b2, *args):
+        before = len(runs)
+        checks(report, tag, b1, b2, *args)
+        if "force-disjoint" in tag and len(runs) == before + 1:
+            drawn.append((b1, b2, runs[-1]))
+
+    monkeypatch.setattr(sphsep.harness, "_deep_checks", keep_force_disjoint)
     monkeypatch.setattr(sphsep.harness, "proof_path_witness", recording)
-    cfg = ToleranceConfig()
-    for i, (g1, g2) in enumerate(drawn):
+    report = run_equivalence_campaign(12, [1, 2, 3], [3, 5], seed=9)
+    monkeypatch.undo()
+    assert report.failures == [] and len(drawn) == 3
+
+    for i, (g1, g2, (cert, trace)) in enumerate(drawn):
         path = tmp_path / f"inst_{i}.json"
         path.write_text(json.dumps({"n": g1.n, "w1": g1.generators.tolist(),
                                     "w2": g2.generators.tolist()}))
-        b1, b2, _ = _load_instance(str(path), None)
-        check = CampaignReport(count=1, dims=[b1.n], sizes=[], seed=0)
-        checks(check, f"inst_{i}", b1, b2, dual_witness(b1, b2, cfg), i, cfg)
-        assert check.failures == [] and len(runs) == i + 1
-        cert, trace = runs[-1]
         want = {
             "status": "disjoint",
             "witness": [float(x) for x in cert.witness],
