@@ -23,6 +23,7 @@ from .geometry import (
     _UNIT_TOL,
     TangentFrame,
     ToleranceConfig,
+    _norm,
     _rows,
     _unit_rows,
     central_project,
@@ -54,13 +55,13 @@ def _dedupe_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     keeps a and c.
     """
     first = rows[:, 0]
-    order = np.argsort(first, kind="stable")
+    order = first.argsort(kind="stable")
     ranked = first[order]
     reach = 2.0 * tol + 4.0 * np.finfo(float).eps * np.abs(first)
-    lo = np.searchsorted(ranked, first - reach, side="left")
-    hi = np.searchsorted(ranked, first + reach, side="right")
+    lo = ranked.searchsorted(first - reach, side="left")
+    hi = ranked.searchsorted(first + reach, side="right")
     keep = np.ones(rows.shape[0], dtype=bool)
-    for i in np.flatnonzero(hi - lo > 1):
+    for i in (hi - lo > 1).nonzero()[0]:
         near = order[lo[i] : hi[i]]
         near = near[(near < i) & keep[near]]
         keep[i] = not (np.abs(rows[near] - rows[i]).max(axis=1) <= tol).any()
@@ -86,10 +87,11 @@ class SphericalBody:
             raise DimensionMismatch("generators must be a nonempty 2-D array")
         if g.shape[1] < 2:
             raise DimensionMismatch("ambient dimension must be at least 2 (points on S^1 or higher)")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise DimensionMismatch("generators contain non-finite entries")
-        norms = np.linalg.norm(g, axis=1)
-        if np.max(np.abs(norms - 1.0)) > _SHAPE_TOL:
+        # np.linalg.norm's own formula along an axis, without its dispatch
+        norms = np.sqrt((g * g).sum(axis=1))
+        if np.abs(norms - 1.0).max() > _SHAPE_TOL:
             raise DimensionMismatch("generators must be unit vectors; use from_points to normalize")
         g = _dedupe_rows(g, _UNIT_TOL)
         g.flags.writeable = False
@@ -190,16 +192,16 @@ def hemisphericity_witness(
     """
     g = body.generators
     total = g.sum(axis=0)
-    norm = float(np.linalg.norm(total))
+    norm = _norm(total)
     if norm > _UNIT_TOL:
         pole = total / norm
-        if np.min(g @ pole) > cfg.margin_tol:
+        if (g @ pole).min() > cfg.margin_tol:
             return pole
     out = solve(_pole_lp(g), max_pivots=100 * cfg.max_iter)
     margin, x = _pole_margin(out, g.shape[1])
     if margin > cfg.margin_tol:
         pole = normalize(x)
-        margin = float(np.min(g @ pole))
+        margin = float((g @ pole).min())
         if margin > cfg.margin_tol:
             return pole
     raise NotHemispherical(

@@ -76,7 +76,7 @@ def _as_float_array(v, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -86,17 +86,24 @@ def _rows(x, name: str, width: int | None = None) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim not in (1, 2) or width not in (None, arr.shape[-1]):
         raise ValueError(f"{name} must be a point or rows of {width} entries, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
 def _unit_rows(pts: np.ndarray) -> np.ndarray:
     """Rows of ``pts`` scaled to unit length; ZeroVector at a norm <= 1e-12."""
-    norms = np.linalg.norm(pts, axis=-1, keepdims=True)
-    if np.any(norms <= _UNIT_TOL):
+    norms = np.sqrt((pts * pts).sum(axis=-1, keepdims=True))  # np.linalg.norm's formula
+    if (norms <= _UNIT_TOL).any():
         raise ZeroVector(f"cannot normalize vector with norm {norms.min():.3e}")
     return pts / norms
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D array bit for bit, without its dispatch (over
+    v.ravel(order="K"): a strided view's dot may round differently)."""
+    v = v.ravel(order="K")
+    return math.sqrt(v @ v)
 
 
 def normalize(v) -> np.ndarray:
@@ -105,7 +112,7 @@ def normalize(v) -> np.ndarray:
     Raises ZeroVector when the norm is at or below 1e-12.
     """
     arr = _as_float_array(v)
-    nrm = float(np.linalg.norm(arr))
+    nrm = _norm(arr)
     if nrm <= _UNIT_TOL:
         raise ZeroVector(f"cannot normalize vector with norm {nrm:.3e}")
     return arr / nrm
@@ -129,12 +136,12 @@ class TangentFrame:
             raise ValueError(
                 f"basis must have shape ({base.size - 1}, {base.size}), got {basis.shape}"
             )
-        if abs(np.linalg.norm(base) - 1.0) > _SHAPE_TOL:
+        if abs(_norm(base) - 1.0) > _SHAPE_TOL:
             raise ValueError("base point is not unit length")
         gram = basis @ basis.T
-        if np.max(np.abs(gram - np.eye(basis.shape[0]))) > _SHAPE_TOL:
+        if np.abs(gram - np.eye(basis.shape[0])).max() > _SHAPE_TOL:
             raise ValueError("basis rows are not orthonormal")
-        if np.max(np.abs(basis @ base)) > _SHAPE_TOL:
+        if np.abs(basis @ base).max() > _SHAPE_TOL:
             raise ValueError("basis rows are not orthogonal to base")
         base.flags.writeable = False
         basis.flags.writeable = False
@@ -156,8 +163,11 @@ def orthonormal_frame(base) -> TangentFrame:
     that is not unit length fails TangentFrame's checks (ValueError).
     """
     b = _as_float_array(base, "base")
-    axes = np.delete(np.eye(b.size), int(np.argmax(np.abs(b))), axis=1)
-    q, r = np.linalg.qr(np.column_stack([b, axes]))
+    cols = np.zeros((b.size, b.size))
+    cols[:, 0] = b
+    axis = np.arange(b.size - 1)  # column 1 + i is e_i, e_{i+1} past the skipped axis
+    cols[axis + (axis >= np.abs(b).argmax()), axis + 1] = 1.0
+    q, r = np.linalg.qr(cols)
     return TangentFrame(base=b, basis=(q * np.sign(np.diag(r)))[:, 1:].T)
 
 
@@ -172,9 +182,9 @@ def central_project(
     """
     qv = _rows(q, "q", frame.n + 1)
     dots = qv @ frame.base
-    if np.min(dots) <= cfg.margin_tol:
+    if dots.min() <= cfg.margin_tol:
         raise OutsideOpenHemisphere(
-            f"point has base dot {np.min(dots):.3e} <= margin_tol {cfg.margin_tol:.1e}"
+            f"point has base dot {dots.min():.3e} <= margin_tol {cfg.margin_tol:.1e}"
         )
     return (qv @ frame.basis.T) / dots[..., None]
 

@@ -25,7 +25,7 @@ from .errors import (
     NumericallyAmbiguous,
     SphSepError,
 )
-from .geometry import DEFAULT_CONFIG, ToleranceConfig, normalize
+from .geometry import DEFAULT_CONFIG, ToleranceConfig, _norm, _unit_rows, normalize
 from .separation import (
     dual_witness,
     primal_intersect,
@@ -72,7 +72,7 @@ class InstanceSpec:
 def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
     while True:
         v = rng.standard_normal(d)
-        nrm = np.linalg.norm(v)
+        nrm = _norm(v)
         if nrm > 1e-6:
             return v / nrm
 
@@ -81,7 +81,7 @@ def _random_tangent(rng: np.random.Generator, center: np.ndarray) -> np.ndarray:
     while True:
         v = rng.standard_normal(center.size)
         v -= (v @ center) * center
-        nrm = np.linalg.norm(v)
+        nrm = _norm(v)
         if nrm > 1e-6:
             return v / nrm
 
@@ -90,12 +90,14 @@ def _cap_body(
     rng: np.random.Generator, center: np.ndarray, k: int, spread: float
 ) -> np.ndarray:
     """k generators within angle spread of center (cap containment makes the
-    body hemispherical)."""
+    body hemispherical), each cos(theta) center + sin(theta) t in place."""
     gens = np.empty((k, center.size))
-    for i in range(k):
+    for row in gens:
         theta = rng.uniform(0.0, spread)
         t = _random_tangent(rng, center)
-        gens[i] = math.cos(theta) * center + math.sin(theta) * t
+        np.multiply(center, math.cos(theta), out=row)
+        t *= math.sin(theta)
+        row += t
     return gens
 
 
@@ -201,8 +203,20 @@ _MODE_CYCLE = (
     Mode.FORCE_INTERSECTING,
 )
 
-_GRID = [round(0.1 * i, 1) for i in range(11)]
+_GRID = np.arange(11) / 10.0
 _PROBE_SAMPLES = 50
+
+
+def _grid_break(b1, b2, w, w_pp, cfg) -> float | None:
+    """The first t of _GRID whose pole normalize(t w + (1 - t) w_pp) is no
+    wedge member, or None: all poles at once, by one row normalization and
+    one product per body (ZeroVector if a combination vanishes)."""
+    t = _GRID[:, None]
+    poles = _unit_rows(t * w + (1.0 - t) * w_pp)
+    margins = np.minimum((poles @ b1.generators.T).min(axis=1),
+                         -(poles @ b2.generators.T).max(axis=1))
+    broke = (~(margins > cfg.margin_tol)).nonzero()[0]
+    return float(_GRID[broke[0]]) if broke.size else None
 
 
 def _deep_checks(
@@ -217,7 +231,7 @@ def _deep_checks(
     """Per-disjoint-instance checks: certificate soundness by direct dots,
     proof-path reconstruction, wedge convexity on a grid, openness probe."""
     w = dual_cert.witness
-    margin = min(float(np.min(b1.generators @ w)), -float(np.max(b2.generators @ w)))
+    margin = min(float((b1.generators @ w).min()), -float((b2.generators @ w).max()))
     if margin > 1e-9:
         report.checks["witness_soundness"] += 1
     else:
@@ -241,17 +255,11 @@ def _deep_checks(
         )
         return
 
-    ok = True
-    for t in _GRID:
-        combo = normalize(t * w + (1.0 - t) * pp_cert.witness)
-        if not wedge_membership(b1, b2, combo, cfg).member:
-            report.failures.append(f"{tag}: wedge convexity broke at t={t}")
-            ok = False
-            break
-    if ok:
-        report.checks["wedge_convexity_grid"] += 1
-    else:
+    broke = _grid_break(b1, b2, w, pp_cert.witness, cfg)
+    if broke is not None:
+        report.failures.append(f"{tag}: wedge convexity broke at t={broke}")
         return
+    report.checks["wedge_convexity_grid"] += 1
 
     probe = wedge_openness_probe(
         b1, b2, w, _PROBE_SAMPLES, cfg, rng=np.random.default_rng(probe_seed)

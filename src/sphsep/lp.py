@@ -93,16 +93,18 @@ class LinearProgram:
             )
         m = A.shape[0]
         self.constraints = A
-        rel = np.asarray(self.relations)
-        if rel.ndim == 0:
-            rel = np.broadcast_to(rel, (m,))
-        if rel.shape != (m,):
-            raise DimensionMismatch(f"{rel.size} relations for {m} constraint rows")
-        code = np.full(m, 2, dtype=np.intp)
-        for name, c in _CODE.items():
-            code[rel == name] = c
+        if isinstance(self.relations, str):  # one relation for every row
+            rel = np.full(m, self.relations)
+            code = np.full(m, _CODE.get(self.relations, 2), dtype=np.intp)
+        else:
+            rel = np.asarray(self.relations)
+            if rel.shape != (m,):
+                raise DimensionMismatch(f"{rel.size} relations for {m} constraint rows")
+            code = np.full(m, 2, dtype=np.intp)
+            for name, c in _CODE.items():
+                code[rel == name] = c
         if (code == 2).any():
-            bad = rel[(code == 2).argmax()]
+            bad = str(rel[(code == 2).argmax()])
             raise DimensionMismatch(f"unknown relation {bad!r}")
         self.relations, self.code = rel, code
         self.rhs = np.zeros(m) if self.rhs is None else np.asarray(self.rhs, dtype=float)
@@ -121,7 +123,7 @@ class LinearProgram:
         if self.lower.shape != (nv,) or self.upper.shape != (nv,):
             raise DimensionMismatch("bounds must have one entry per variable")
         finite = np.isfinite(self.lower) & np.isfinite(self.upper)
-        if np.any(self.lower[finite] > self.upper[finite]):
+        if (self.lower[finite] > self.upper[finite]).any():
             raise DimensionMismatch("some lower bound exceeds its upper bound")
 
     @property
@@ -175,10 +177,16 @@ def _standardize(lp: LinearProgram):
     bound rows follow the program's rows in variable order, an upper bound
     (<= hi - shift, on the signed columns) before a lower one (-x <= -lo).
     Each is read off an (nv, 2) table, so nothing loops over variables.
+    A program needing no split and no bound row comes back as it is (solve
+    does not write to it), its lower bounds, -0.0 included, as the shift.
     """
     lo, hi = lp.lower, lp.upper
     nv = lo.size
     keep = (lo >= 0.0) & np.isfinite(lo)
+    A0 = lp.constraints
+    if keep.all() and not np.isfinite(hi).any():
+        rhs = lp.rhs - np.vecdot(A0, lo) if lo.any() else lp.rhs
+        return lp.objective, A0, lp.code, rhs, np.arange(nv), np.ones(nv), lo
     shift = np.zeros(nv)
     shift[keep] = lo[keep]
     # slot (j, 1) exists when variable j is split; bound (j, 0) is its upper
@@ -197,7 +205,6 @@ def _standardize(lp: LinearProgram):
     bound_rhs[:, 0] = hi - shift
     bound_rhs[:, 1] = -lo
 
-    A0 = lp.constraints
     # np.vecdot takes each row's dot the way row @ shift does, bit for bit
     rhs0 = lp.rhs - np.vecdot(A0, shift) if shift.any() else lp.rhs
     A = np.concatenate([A0[:, owner] * sign, E])
@@ -227,7 +234,9 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
 
 # consecutive degenerate pivots (pivot-row rhs at most _TOL, roundoff
 # included) after which Bland's rule replaces Dantzig pricing until the
-# next non-degenerate pivot
+# next non-degenerate pivot, or after as many as the tableau has rows: a
+# pole LP's opening degenerate run is about that long, and Dantzig pricing
+# leaves it in far fewer pivots than Bland's rule
 _BLAND_AFTER = 50
 
 
@@ -239,22 +248,22 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, budget: _PivotBudget) -> int 
     The entering column has the most negative reduced cost (smallest index
     on ties).  The leaving row has the smallest ratio, ties broken by the
     largest pivot element: on degenerate vertices many rows tie at ratio 0,
-    and pivoting on one whose element barely exceeds _TOL
-    leaves the tableau too inaccurate to trust its optimum.  After
-    _BLAND_AFTER consecutive degenerate pivots the entering column is the
-    smallest improving one and ties leave by the smallest basic variable
-    index (Bland's rule, both halves of which its anti-cycling proof needs)
-    until a pivot row's rhs exceeds _TOL.  Bland's rule cannot cycle in exact
-    arithmetic; judging degeneracy by _TOL keeps roundoff from resetting the
-    run, and the pivot budget bounds the loop in any case.
+    and pivoting on one whose element barely exceeds _TOL leaves the tableau
+    too inaccurate to trust its optimum.  After max(_BLAND_AFTER, m)
+    consecutive degenerate pivots on a tableau of m rows the entering column
+    is the smallest improving one and ties leave by the smallest basic
+    variable index (Bland's rule, both halves of which its anti-cycling proof
+    needs) until a pivot row's rhs exceeds _TOL.  Bland's rule cannot cycle
+    in exact arithmetic; judging degeneracy by _TOL keeps roundoff from
+    resetting the run, and the pivot budget bounds the loop in any case.
 
     T is pivoted in place; ``basis`` (an intp array, one basic column per
     row) is updated in place."""
     m = T.shape[0] - 1
     cost, rhs = T[-1, :-1], T[:m, -1]  # views, kept current by _pivot
-    degenerate = 0
+    degenerate, bland_after = 0, max(_BLAND_AFTER, m)
     while True:
-        bland = degenerate >= _BLAND_AFTER
+        bland = degenerate >= bland_after
         col = (cost < -_TOL).argmax() if bland else cost.argmin()
         if not cost[col] < -_TOL:
             return None
@@ -263,7 +272,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, budget: _PivotBudget) -> int 
         if pos.size == 0:
             return int(col)
         ratios = rhs[pos] / column[pos]
-        ties = pos[ratios == ratios.min()]
+        ties = pos[ratios == ratios[ratios.argmin()]]  # the min, without its wrapper
         row = ties[basis[ties].argmin()] if bland else ties[column[ties].argmax()]
         degenerate = degenerate + 1 if rhs[row] <= _TOL else 0
         _pivot(T, row, col)
@@ -288,11 +297,14 @@ def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
     m, ns = A.shape
 
     # orient all rows to nonnegative rhs; >= rows with rhs 0 become <= rows
-    # so that they need no artificial variable
+    # so that they need no artificial variable.  The flipped rows are new
+    # arrays: _standardize may hand over the program's own.
     flip = (rhs < 0) | ((rhs == 0.0) & (code == -1))
-    A[flip] = -A[flip]
-    rhs[flip] = -rhs[flip]
-    code[flip] = -code[flip]
+    flipped = flip.any()
+    if flipped:
+        A = np.where(flip[:, None], -A, A)
+        rhs = np.where(flip, -rhs, rhs)
+        code = np.where(flip, -code, code)
 
     # <= rows get a slack (+1) that starts basic; >= rows a surplus (-1) and
     # an artificial; = rows an artificial only.  Slack and artificial
@@ -301,20 +313,20 @@ def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
     art_rows = (code != 1).nonzero()[0]
     n_slack, n_art = slack_rows.size, art_rows.size
     slack_cols = ns + np.arange(n_slack)
-    art_cols = ns + n_slack + np.arange(n_art)
     total = ns + n_slack + n_art
     T = np.zeros((m + 1, total + 1))
     T[:m, :ns] = A
     T[:m, -1] = rhs
     T[slack_rows, slack_cols] = code[slack_rows]
-    T[art_rows, art_cols] = 1.0
     basis = np.empty(m, dtype=np.intp)
     basis[slack_rows] = slack_cols
-    basis[art_rows] = art_cols
 
     budget = _PivotBudget(max_pivots)
 
     if n_art:
+        art_cols = ns + n_slack + np.arange(n_art)
+        T[art_rows, art_cols] = 1.0
+        basis[art_rows] = art_cols
         # phase 1: maximize -(sum of artificials)
         T[-1, :] = -T[art_rows].sum(axis=0)
         T[-1, art_cols] += 1.0
@@ -325,7 +337,7 @@ def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
         # drive leftover artificials out of the basis on any structural or
         # slack column; a row with none left is redundant and dropped
         keep = np.ones(m + 1, dtype=bool)
-        for i in np.flatnonzero(basis >= ns + n_slack):
+        for i in (basis >= ns + n_slack).nonzero()[0]:
             candidates = np.abs(T[i, : ns + n_slack]) > _TOL
             col = candidates.argmax()
             if candidates[col]:
@@ -334,8 +346,10 @@ def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
                 budget.spend()
             else:
                 keep[i] = False  # redundant row
-        # keep the surviving rows and the objective, remove artificial columns
-        T = T[np.ix_(np.flatnonzero(keep), np.r_[: ns + n_slack, total])]
+        # keep the surviving rows and the objective, and drop the artificial
+        # columns: the rhs moves into the first of them, the last one kept
+        T[:, ns + n_slack] = T[:, -1]
+        T = T[keep, : ns + n_slack + 1]
         basis = basis[keep[:m]]
         m = basis.size
 
@@ -345,7 +359,7 @@ def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
     T[-1, :-1] = -c_ext
     T[-1, -1] = 0.0
     cb = c_ext[basis]
-    for i in np.flatnonzero(cb != 0.0):
+    for i in (cb != 0.0).nonzero()[0]:
         T[-1] += cb[i] * T[i]
     col = _run_simplex(T, basis, budget)
     if col is not None:
@@ -365,7 +379,7 @@ def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
         # slack column of row i is ns + i; the program's rows come first
         m0 = lp.constraints.shape[0]
         y = T[-1, ns : ns + m0]
-        duals = np.where(flip[:m0], -y, y)
+        duals = np.where(flip[:m0], -y, y) if flipped else y.copy()
     return LpOutcome(
         status=LpStatus.OPTIMAL,
         solution=x,

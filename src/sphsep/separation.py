@@ -47,6 +47,7 @@ from .geometry import (
     _SHAPE_TOL,
     _UNIT_TOL,
     ToleranceConfig,
+    _norm,
     _unit_rows,
     normalize,
     orthonormal_frame,
@@ -75,7 +76,7 @@ class Hyperplane:
 
     def __post_init__(self) -> None:
         nrm = np.asarray(self.normal, dtype=float)
-        if abs(np.linalg.norm(nrm) - 1.0) > _SHAPE_TOL:
+        if abs(_norm(nrm) - 1.0) > _SHAPE_TOL:
             raise DimensionMismatch("hyperplane normal must be a unit vector")
         nrm = nrm.copy()
         nrm.flags.writeable = False
@@ -144,7 +145,7 @@ def _pole_difference(p1: np.ndarray, p2: np.ndarray) -> np.ndarray | None:
     body 2, or None where they coincide: the direction from body 2 toward
     body 1 that the poles alone suggest."""
     diff = p1 - p2
-    return None if np.linalg.norm(diff) <= _UNIT_TOL else normalize(diff)
+    return None if _norm(diff) <= _UNIT_TOL else normalize(diff)
 
 
 def primal_intersect(
@@ -214,9 +215,7 @@ def wedge_membership(
     non-members too.
     """
     pv = np.asarray(p, dtype=float)
-    margin = float(
-        min(np.min(b1.generators @ pv), -np.max(b2.generators @ pv))
-    )
+    margin = float(min((b1.generators @ pv).min(), -(b2.generators @ pv).max()))
     return MembershipResult(member=margin > cfg.margin_tol, margin=margin)
 
 
@@ -276,8 +275,8 @@ def dual_witness(
     if (
         lam.sum() > _TOL
         and mu.sum() > _TOL
-        and np.max(np.abs(point - mu @ g2)) <= _TOL
-        and np.linalg.norm(point) > _UNIT_TOL
+        and np.abs(point - mu @ g2).max() <= _TOL
+        and _norm(point) > _UNIT_TOL
     ):
         hemisphericity_witness(b1, cfg)
         hemisphericity_witness(b2, cfg)
@@ -368,7 +367,7 @@ def _hyperplane(x: np.ndarray, sigma: float) -> tuple[Hyperplane, float]:
     p, alpha, beta = x[:d], x[d + 2], x[d + 3]
     t = sigma * x[d + 4]
     r = (max(beta + t, -1.0) + min(alpha - t, 1.0)) / 2.0
-    nrm = float(np.linalg.norm(p))
+    nrm = _norm(p)
     if nrm <= _TOL:
         raise ContractionStalled("degenerate zero normal in hull separation")
     return Hyperplane(normal=p / nrm, offset=r / nrm), t / nrm
@@ -487,7 +486,7 @@ def _separating_hyperplane_contracted(
         )
     found = _hyperplane(x, sigma)
     # the box caps are the last two rows
-    if x[ia] >= 0.0 >= x[ib] and np.max(out.duals[-2:]) <= _TOL:
+    if x[ia] >= 0.0 >= x[ib] and out.duals[-2:].max() <= _TOL:
         hull.carried = (sigma, x)
     return found
 

@@ -11,9 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import sphsep.separation
 from sphsep.cli import main
 from sphsep.convexity import SphericalBody, hemisphericity_witness
-from sphsep.harness import CampaignReport, _cap_body, _random_tangent, _random_unit
+from sphsep.harness import (
+    CampaignReport,
+    InstanceSpec,
+    Mode,
+    _cap_body,
+    _random_tangent,
+    _random_unit,
+    generate,
+)
+from sphsep.lp import solve
 from sphsep.separation import wedge_membership
 
 from .oracles import separates
@@ -252,6 +262,32 @@ def _orthogonal_caps_doc(n, k):
         "w2": _cap_body(rng, c2, k, 0.4).tolist(),
         "tolerances": {"max_iter": 1},
     }
+
+
+def test_witness_lp_on_s120_leaves_the_opening_degenerate_run_to_dantzig(
+    tmp_path, capsys, monkeypatch
+):
+    # a clearly disjoint pair (dual margin about 0.5) on S^120.  Its dual pole
+    # LP (243 rows) opens with a degenerate run of 121 pivots; when Bland's
+    # rule took over after 50 of them, the query ran past 20 000 pivots and
+    # exited 3.  Handed over only after max(50, rows), it takes 269.
+    b1, b2 = generate(InstanceSpec(120, 120, 120, seed=11, mode=Mode.FORCE_DISJOINT))
+    doc = {"n": 120, "w1": b1.generators.tolist(), "w2": b2.generators.tolist()}
+    path = write_instance(tmp_path, doc)
+    pivots = []
+
+    def counted(lp, max_pivots):
+        out = solve(lp, max_pivots)
+        pivots.append(out.pivots)
+        return out
+
+    monkeypatch.setattr(sphsep.separation, "solve", counted)
+    code, out, _ = run_cli(capsys, "witness", path, "--method", "lp")
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["status"] == "disjoint"
+    assert wedge_membership(b1, b2, np.array(cert["witness"])).member
+    assert len(pivots) == 1 and pivots[0] <= 400
 
 
 def test_pivot_budget_overrun_exit_codes(tmp_path, capsys):

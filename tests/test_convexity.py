@@ -118,6 +118,17 @@ def test_dedupe_rows_chains_across_window_edges(start, seed):
     assert np.array_equal(_dedupe_rows(rows, TOL), dedupe_rows_oracle(rows, TOL))
 
 
+def test_readme_library_example_runs_as_written(capsys):
+    # SphericalBody.from_points is the public constructor the README shows;
+    # its library block runs as written and finds the pair disjoint both ways
+    readme = (GOLDEN_DIR.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["cert"].kind == names["cert2"].kind == "disjoint"
+    assert capsys.readouterr().out.strip()
+
+
 def test_from_points_normalizes():
     body = SphericalBody.from_points(np.array([[3.0, 0.0], [0.0, 0.5]]))
     assert np.allclose(body.generators, np.eye(2))

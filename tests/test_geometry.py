@@ -13,6 +13,7 @@ from sphsep.geometry import (
     DEFAULT_CONFIG,
     TangentFrame,
     ToleranceConfig,
+    _norm,
     central_project,
     central_unproject,
     normalize,
@@ -20,6 +21,18 @@ from sphsep.geometry import (
 )
 
 from .oracles import gram_schmidt_frame
+
+
+def test_norm_is_np_linalg_norm_bit_for_bit():
+    # contiguous vectors, strided views and reversed views, whose dot may
+    # round differently from their copy's, over sizes and scales
+    rng = np.random.default_rng(4)
+    for n in range(1, 200):
+        big = rng.standard_normal(3 * n) * 10.0 ** rng.uniform(-150, 150)
+        for v in (big[:n], big[::3], big[::-3], big[n - 1 :: -1]):
+            got, want = _norm(v), np.linalg.norm(v)
+            assert type(got) is float and got == want
+
 
 finite_coords = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False

@@ -6,18 +6,21 @@ import numpy as np
 import pytest
 
 import sphsep.convexity
+import sphsep.harness
 import sphsep.separation
 from sphsep.cli import _load_instance
+from sphsep.convexity import SphericalBody
 from sphsep.errors import GenerationFailed
-from sphsep.geometry import ToleranceConfig
+from sphsep.geometry import ToleranceConfig, normalize
 from sphsep.harness import (
     InstanceSpec,
     Mode,
+    _grid_break,
     generate,
     run_equivalence_campaign,
 )
 from sphsep.lp import LpStatus, solve
-from sphsep.separation import primal_intersect, proof_path_witness
+from sphsep.separation import primal_intersect, proof_path_witness, wedge_membership
 
 from .oracles import lp_residual
 
@@ -229,6 +232,52 @@ def test_campaign_counts_bodies_not_hemispherical_within_the_band_as_ambiguous()
     assert report.instances == 8 and report.disagreements == 0
     assert report.ambiguous > 0 and report.disjoint > 0
     assert report.failures == [] and report.checks["proof_path"] == report.disjoint
+
+
+def _grid_break_per_t(b1, b2, w, w_pp, cfg):
+    """The convexity grid one pole at a time: normalize, then
+    wedge_membership, for t = 0.0, 0.1, ..., 1.0."""
+    for t in [round(0.1 * i, 1) for i in range(11)]:
+        if not wedge_membership(b1, b2, normalize(t * w + (1.0 - t) * w_pp), cfg).member:
+            return t
+    return None
+
+
+def test_grid_break_matches_the_per_t_loop(monkeypatch):
+    # on the disjoint instances of a small campaign, where both poles are
+    # members, and with the dual pole swapped for a unit vector orthogonal
+    # to the proof-path pole (no combination vanishes), which the grid may
+    # leave at any t: the one-product grid gives the same verdict and the
+    # same first failing t as the per-t loop
+    cfg = ToleranceConfig()
+    grid_break, breaks = sphsep.harness._grid_break, []
+
+    def both(b1, b2, w, w_pp, cfg):
+        got = grid_break(b1, b2, w, w_pp, cfg)
+        assert got is None and _grid_break_per_t(b1, b2, w, w_pp, cfg) is None
+        axis = np.zeros(w_pp.size)
+        axis[np.abs(w_pp).argmin()] = 1.0
+        side = normalize(axis - (axis @ w_pp) * w_pp)
+        breaks.append(grid_break(b1, b2, side, w_pp, cfg))
+        assert breaks[-1] == _grid_break_per_t(b1, b2, side, w_pp, cfg)
+        return got
+
+    monkeypatch.setattr(sphsep.harness, "_grid_break", both)
+    report = run_equivalence_campaign(40, [1, 2, 3, 5], list(range(1, 7)), 5, cfg)
+    assert len(breaks) == report.disjoint == report.checks["wedge_convexity_grid"] > 0
+    assert len({t for t in breaks if t is not None}) > 3
+
+
+def test_grid_break_reports_the_first_failing_t():
+    # bodies {e0} and {-e0} on S^1: the wedge is P_0 > margin_tol.  From the
+    # member e0 toward w = (-1, 1)/sqrt(2), P_0 is proportional to
+    # (1 - t) - t/sqrt(2), which turns negative past t = 0.586
+    cfg = ToleranceConfig()
+    b1, b2 = SphericalBody(np.array([[1.0, 0.0]])), SphericalBody(np.array([[-1.0, 0.0]]))
+    w, w_pp = normalize(np.array([-1.0, 1.0])), np.array([1.0, 0.0])
+    assert _grid_break(b1, b2, w, w_pp, cfg) == _grid_break_per_t(b1, b2, w, w_pp, cfg) == 0.6
+    assert _grid_break(b1, b2, w_pp, w, cfg) == _grid_break_per_t(b1, b2, w_pp, w, cfg) == 0.0
+    assert _grid_break(b1, b2, w_pp, w_pp, cfg) is None
 
 
 def test_campaign_mode_cycle_produces_both_kinds():

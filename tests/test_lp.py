@@ -398,16 +398,15 @@ def test_degenerate_pole_lps_match_oracle(lift):
     assert seen == {"optimal", "infeasible"}
 
 
-def test_roundoff_degenerate_pivots_hand_over_to_bland(monkeypatch):
-    # with a run length of 1, every pivot whose row had rhs <= tol (exact 0
-    # or roundoff) must be followed by Bland's choice within the same phase
-    monkeypatch.setattr(lp_module, "_BLAND_AFTER", 1)
+def _entering_columns(lps):
+    """Per _run_simplex call: its tableau's row count and, per pivot, the
+    pivot row's rhs, the entering column and Bland's and Dantzig's choice."""
     run_simplex, pivot = lp_module._run_simplex, lp_module._pivot
     runs = []
     live = [False]
 
     def spy_run(T, basis, budget):
-        runs.append([])
+        runs.append((T.shape[0] - 1, []))
         live[0] = True
         try:
             return run_simplex(T, basis, budget)
@@ -417,24 +416,45 @@ def test_roundoff_degenerate_pivots_hand_over_to_bland(monkeypatch):
     def spy_pivot(T, row, col):
         if live[0]:
             cost = T[-1, :-1]
-            runs[-1].append((T[row, -1], col, (cost < -1e-10).argmax(), cost.argmin()))
+            runs[-1][1].append((T[row, -1], col, (cost < -1e-10).argmax(), cost.argmin()))
         pivot(T, row, col)
 
-    monkeypatch.setattr(lp_module, "_run_simplex", spy_run)
-    monkeypatch.setattr(lp_module, "_pivot", spy_pivot)
+    lp_module._run_simplex, lp_module._pivot = spy_run, spy_pivot
+    try:
+        for lp in lps:
+            solve(lp)
+    finally:
+        lp_module._run_simplex, lp_module._pivot = run_simplex, pivot
+    return runs
+
+
+def test_roundoff_degenerate_pivots_hand_over_to_bland(monkeypatch):
+    # The hand-over comes after max(_BLAND_AFTER, m) consecutive degenerate
+    # pivots on a tableau of m rows.  One row whose rhs is roundoff (5.6e-17,
+    # not 0): the first pivot (x3) is degenerate, so with _BLAND_AFTER = 1
+    # the second must be Bland's column x1, where Dantzig's is x2
+    eps = 3 * 0.1 - 0.3
+    assert 0.0 < eps <= 1e-10
+    lp = LinearProgram(np.array([1.0, 10.0, 30.0]), np.array([[0.1, 1.0, 10.0]]), LE, [eps])
+    [(m, run)] = _entering_columns([lp])
+    assert m == 1 and [p[1] for p in run[:2]] == [2, 1]
+    monkeypatch.setattr(lp_module, "_BLAND_AFTER", 1)
+    [(m, run)] = _entering_columns([lp])
+    assert [p[1] for p in run[:2]] == [2, 0]
+
+    # with _BLAND_AFTER = 1, degenerate runs shorter than the tableau's row
+    # count stay with Dantzig's column, also where Bland's differs, and any
+    # that reaches it hands over
     rng = np.random.default_rng(5)
-    for _ in range(150):
-        solve(_degenerate_pole_lp(rng, lift=True))
-    roundoff = decisive = 0
-    for run in runs:
+    runs = _entering_columns([_degenerate_pole_lp(rng, lift=True) for _ in range(150)])
+    decisive = 0
+    for m, run in runs:
+        streak = 0
         for (rhs, _, _, _), (_, col, bland, dantzig) in zip(run, run[1:]):
-            if rhs <= 1e-10:
-                assert col == bland
-                roundoff += rhs != 0.0
-                decisive += rhs != 0.0 and bland != dantzig
-    # the battery reaches roundoff-degenerate vertices, and at one of them
-    # the two rules disagree, so an exact-zero test would fail here
-    assert roundoff > 0 and decisive > 0
+            streak = streak + 1 if rhs <= 1e-10 else 0
+            assert col == (bland if streak >= m else dantzig)
+            decisive += 0 < streak < m and bland != dantzig
+    assert decisive > 0
 
 
 def test_phase_one_keeps_rows_that_pin_slacks():
@@ -544,6 +564,28 @@ def test_standardize_matches_per_variable_reference():
         for got, want in zip(lp_module._standardize(lp), _standardize_reference(lp)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def test_standardize_hands_over_a_program_without_splits_or_bound_rows():
+    # default bounds and nonnegative finite lower bounds, -0.0 among them,
+    # with no upper bound: the program comes back as it is, and the shift is
+    # its lower bounds, -0.0 kept, exactly as the per-variable reference
+    # builds it.  Rows that solve must flip leave the program untouched.
+    rng = np.random.default_rng(21)
+    rels = [LE, GE, EQ, GE, LE]
+    rhs = np.array([1.0, 0.0, -0.5, -2.0, -1.0])
+    for lower in (None, [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 1.5, 0.0], [2.0, 0.5, 1.0]):
+        lp = LinearProgram(rng.standard_normal(3), rng.standard_normal((5, 3)), rels, rhs.copy(),
+                           lower=lower)
+        got = lp_module._standardize(lp)
+        for g, want in zip(got, _standardize_reference(lp)):
+            assert g.dtype == want.dtype and g.shape == want.shape
+            assert g.tobytes() == want.tobytes()
+        assert got[1] is lp.constraints and got[6] is lp.lower
+        before = [a.copy() for a in (lp.objective, lp.constraints, lp.code, lp.rhs, lp.lower)]
+        solve(lp)
+        after = (lp.objective, lp.constraints, lp.code, lp.rhs, lp.lower)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
 
 # sha256 of the battery's outcomes: any change to a pivot, a tie-break or the
