@@ -7,8 +7,10 @@ objective moves again, which guards against cycling.  Self-contained and
 deterministic: a plain tableau implementation is exactly reproducible, and
 fast enough for the feasibility and pole queries of this package, which
 have at most a few hundred rows and columns.  A program is handed over as
-one coefficient matrix with a relation and a right-hand side per row, so
-neither building nor standardizing it loops over rows or variables.  The
+one coefficient matrix with a relation and a right-hand side per row, over
+nonnegative variables only (the textbook standard form): a caller with
+free or bounded variables poses their split columns and bound rows itself,
+as the hull separation does.  Nothing loops over rows or variables.  The
 tableau keeps one slack column per row, so its size grows with the square
 of the row count; the proof path's hull separations, with one row per
 fattened vertex (2n per generator on S^n, thousands on large bodies), are
@@ -58,25 +60,22 @@ class LpStatus(Enum):
 
 @dataclass
 class LinearProgram:
-    """maximize objective . x  subject to row constraints and variable bounds.
+    """maximize objective . x  subject to row constraints and x >= 0.
 
     constraints: an (m, n) coefficient matrix, one row per constraint
     (default: no rows).  relations: one of "<=", "=", ">=" for every row,
     or a single relation for all of them (default "<=").  rhs: the m
     right-hand sides (default all 0).  So row i reads
     constraints[i] . x  relations[i]  rhs[i], and ``len(constraints)`` is
-    the row count.  Bounds default to the classic 0 <= x < +inf; pass
-    -inf/+inf entries for free or one-sided variables.  After construction
-    ``relations`` holds one relation per row and ``code`` its standard-form
-    code, +1 (<=), 0 (=) or -1 (>=).
+    the row count.  Every variable is nonnegative; there are no other
+    bounds.  After construction ``relations`` holds one relation per row
+    and ``code`` its standard-form code, +1 (<=), 0 (=) or -1 (>=).
     """
 
     objective: np.ndarray
     constraints: np.ndarray | None = None
     relations: str | Sequence[str] = LE
     rhs: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
     code: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -112,19 +111,6 @@ class LinearProgram:
             raise DimensionMismatch(
                 f"rhs has shape {self.rhs.shape}, expected ({m},)"
             )
-        self.lower = (
-            np.zeros(nv) if self.lower is None else np.asarray(self.lower, dtype=float)
-        )
-        self.upper = (
-            np.full(nv, np.inf)
-            if self.upper is None
-            else np.asarray(self.upper, dtype=float)
-        )
-        if self.lower.shape != (nv,) or self.upper.shape != (nv,):
-            raise DimensionMismatch("bounds must have one entry per variable")
-        finite = np.isfinite(self.lower) & np.isfinite(self.upper)
-        if (self.lower[finite] > self.upper[finite]).any():
-            raise DimensionMismatch("some lower bound exceeds its upper bound")
 
     @property
     def num_vars(self) -> int:
@@ -140,12 +126,11 @@ class LpOutcome:
     set only for optimal programs that needed no phase 1, whose rows all
     become "<=" rows with a slack once oriented to a nonnegative rhs.
 
-    ``ray`` is set on unbounded programs: a recession direction d of the
-    program as given, the simplex edge along which the objective grew
-    without bound.  Every row holds per relation in direction (A d <= 0 on
-    "<=" rows, >= 0 on ">=" rows, = 0 on "=" rows), a finite lower (upper)
-    bound keeps d_j >= 0 (<= 0), and objective . d > 0, all within the
-    simplex tolerance.
+    ``ray`` is set on unbounded programs: a recession direction d >= 0 of
+    the program, the simplex edge along which the objective grew without
+    bound.  Every row holds per relation in direction (A d <= 0 on "<="
+    rows, >= 0 on ">=" rows, = 0 on "=" rows), and objective . d > 0, all
+    within the simplex tolerance.
     """
 
     status: LpStatus
@@ -154,64 +139,6 @@ class LpOutcome:
     pivots: int = 0
     duals: np.ndarray | None = None
     ray: np.ndarray | None = None
-
-
-# sign of a variable's first and second standard column
-_SLOT_SIGN = np.array([1.0, -1.0])
-
-
-def _standardize(lp: LinearProgram):
-    """Rewrite with all variables >= 0.
-
-    Variables with lower bound 0 pass through; positive lower bounds are
-    shifted out; anything that can go negative is split into a nonnegative
-    pair.  Finite bounds not absorbed by the rewrite become explicit rows.
-    Returns (c, A, code, rhs, owner, sign, shift), where code holds one
-    relation per row of A as +1 (<=), 0 (=) or -1 (>=).
-
-    Standard column k is original variable owner[k] times sign[k], so the
-    rows are mapped by a signed column gather, and a standard-form solution
-    maps back by summing each variable's signed columns (x_j = sum over
-    owner[k] = j of sign[k] x_std[k], plus shift[j]); no dense variable map
-    is built.  Columns come in variable order, a split pair as (+, -); the
-    bound rows follow the program's rows in variable order, an upper bound
-    (<= hi - shift, on the signed columns) before a lower one (-x <= -lo).
-    Each is read off an (nv, 2) table, so nothing loops over variables.
-    A program needing no split and no bound row comes back as it is (solve
-    does not write to it), its lower bounds, -0.0 included, as the shift.
-    """
-    lo, hi = lp.lower, lp.upper
-    nv = lo.size
-    keep = (lo >= 0.0) & np.isfinite(lo)
-    A0 = lp.constraints
-    if keep.all() and not np.isfinite(hi).any():
-        rhs = lp.rhs - np.vecdot(A0, lo) if lo.any() else lp.rhs
-        return lp.objective, A0, lp.code, rhs, np.arange(nv), np.ones(nv), lo
-    shift = np.zeros(nv)
-    shift[keep] = lo[keep]
-    # slot (j, 1) exists when variable j is split; bound (j, 0) is its upper
-    # and (j, 1) its lower bound row, the latter only on a split variable
-    slots = np.empty((nv, 2), dtype=bool)
-    slots[:, 0] = True
-    slots[:, 1] = ~keep
-    owner, second = slots.nonzero()
-    sign = _SLOT_SIGN[second]
-    bounds = np.empty((nv, 2), dtype=bool)
-    bounds[:, 0] = np.isfinite(hi)
-    bounds[:, 1] = slots[:, 1] & np.isfinite(lo)
-    var, side = bounds.nonzero()
-    E = np.where(owner == var[:, None], _SLOT_SIGN[side][:, None] * sign, 0.0)
-    bound_rhs = np.empty((nv, 2))
-    bound_rhs[:, 0] = hi - shift
-    bound_rhs[:, 1] = -lo
-
-    # np.vecdot takes each row's dot the way row @ shift does, bit for bit
-    rhs0 = lp.rhs - np.vecdot(A0, shift) if shift.any() else lp.rhs
-    A = np.concatenate([A0[:, owner] * sign, E])
-    code = np.ones(A.shape[0], dtype=np.intp)
-    code[: A0.shape[0]] = lp.code
-    rhs = np.concatenate([rhs0, bound_rhs[var, side]])
-    return lp.objective[owner] * sign, A, code, rhs, owner, sign, shift
 
 
 class _PivotBudget:
@@ -289,16 +216,16 @@ def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
     there is no phase 1, and the row duals are the optimal reduced costs
     of the slack columns, negated on rows the orientation flipped.  An
     unbounded outcome carries the edge direction of its last entering
-    column, mapped back to the program's variables, as ``ray``.
+    column as ``ray``.
     Identical inputs produce bit-identical outcomes.  Raises IterationLimit
     past ``max_pivots`` total pivots.
     """
-    c, A, code, rhs, owner, sign, shift = _standardize(lp)
+    c, A, code, rhs = lp.objective, lp.constraints, lp.code, lp.rhs
     m, ns = A.shape
 
     # orient all rows to nonnegative rhs; >= rows with rhs 0 become <= rows
     # so that they need no artificial variable.  The flipped rows are new
-    # arrays: _standardize may hand over the program's own.
+    # arrays, so the program itself is never written to.
     flip = (rhs < 0) | ((rhs == 0.0) & (code == -1))
     flipped = flip.any()
     if flipped:
@@ -368,18 +295,19 @@ def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
         d = np.zeros(T.shape[1] - 1)
         d[col] = 1.0
         d[basis] = -T[:m, col]
-        ray = np.bincount(owner, weights=sign * d[:ns], minlength=lp.num_vars)
-        return LpOutcome(status=LpStatus.UNBOUNDED, pivots=budget.used, ray=ray)
+        # + 0.0 turns the -0.0 of a negated zero entry into 0.0
+        return LpOutcome(status=LpStatus.UNBOUNDED, pivots=budget.used, ray=d[:ns] + 0.0)
 
     x_std = np.zeros(T.shape[1] - 1)
     x_std[basis] = T[:m, -1]
-    x = np.bincount(owner, weights=sign * x_std[:ns], minlength=lp.num_vars) + shift
+    # + 0.0 turns a -0.0 into 0.0: a flipped zero rhs, or a phase-1 pivot on
+    # a negative element, can leave one in a basic value
+    x = x_std[:ns] + 0.0
     duals = None
     if not n_art:
-        # slack column of row i is ns + i; the program's rows come first
-        m0 = lp.constraints.shape[0]
-        y = T[-1, ns : ns + m0]
-        duals = np.where(flip[:m0], -y, y) if flipped else y.copy()
+        # slack column of row i is ns + i
+        y = T[-1, ns : ns + m]
+        duals = np.where(flip, -y, y) if flipped else y.copy()
     return LpOutcome(
         status=LpStatus.OPTIMAL,
         solution=x,

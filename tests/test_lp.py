@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import hypothesis.strategies as st
 import numpy as np
@@ -10,7 +9,7 @@ import sphsep.lp as lp_module
 from sphsep.errors import DimensionMismatch, IterationLimit
 from sphsep.lp import EQ, GE, LE, LinearProgram, LpStatus, solve
 
-from .oracles import lp_feasible, lp_oracle
+from .oracles import BoxProgram, lp_feasible, lp_oracle, solve_box, standard_form
 
 
 def test_box_corner():
@@ -96,45 +95,49 @@ def test_pure_dantzig_cycles_without_bland_fallback(monkeypatch):
         solve(_chvatal_cycling_lp(), max_pivots=500)
 
 
+# Programs with bounds other than x >= 0 are BoxPrograms, solved through
+# their standard form (split columns, shifts and bound rows) by solve_box.
+
+
 def test_negative_lower_bounds():
-    lp = LinearProgram(
+    lp = BoxProgram(
         objective=np.array([1.0, 1.0]),
         lower=np.array([-1.0, -1.0]),
         upper=np.array([1.0, 1.0]),
     )
-    out = solve(lp)
+    out = solve_box(lp)
     assert np.isclose(out.objective_value, 2.0)
     assert np.allclose(out.solution, [1.0, 1.0])
 
-    lp = LinearProgram(
+    lp = BoxProgram(
         objective=np.array([-1.0, -1.0]),
         lower=np.array([-1.0, -1.0]),
         upper=np.array([1.0, 1.0]),
     )
-    out = solve(lp)
+    out = solve_box(lp)
     assert np.allclose(out.solution, [-1.0, -1.0])
 
 
 def test_free_variable_pinned_by_equality():
-    lp = LinearProgram(
+    lp = BoxProgram(
         objective=np.array([0.0]),
         constraints=np.array([[1.0]]),
         relations=EQ,
         rhs=np.array([-3.0]),
         lower=np.array([-np.inf]),
     )
-    out = solve(lp)
+    out = solve_box(lp)
     assert out.status is LpStatus.OPTIMAL
     assert np.isclose(out.solution[0], -3.0)
 
 
 def test_positive_lower_bound_shift():
-    lp = LinearProgram(
+    lp = BoxProgram(
         objective=np.array([-1.0]),
         lower=np.array([2.0]),
         upper=np.array([10.0]),
     )
-    out = solve(lp)
+    out = solve_box(lp)
     assert np.isclose(out.solution[0], 2.0)
     assert np.isclose(out.objective_value, -2.0)
 
@@ -142,14 +145,14 @@ def test_positive_lower_bound_shift():
 def test_ge_rows_with_zero_rhs_feasible_at_origin():
     # homogeneous >= constraints: the origin is feasible, no artificial
     # variables should be needed; the optimum pushes along the cone
-    lp = LinearProgram(
+    lp = BoxProgram(
         objective=np.array([1.0, 1.0]),
         constraints=np.array([[1.0, -1.0]]),
         relations=GE,
         rhs=np.array([0.0]),
         upper=np.array([1.0, 1.0]),
     )
-    out = solve(lp)
+    out = solve_box(lp)
     assert out.status is LpStatus.OPTIMAL
     assert np.isclose(out.objective_value, 2.0)
 
@@ -169,12 +172,13 @@ def test_rejects_mismatched_rows():
         # rhs of the wrong length or shape
         dict(constraints=np.ones((2, 2)), relations=LE, rhs=np.zeros(3)),
         dict(constraints=np.ones((2, 2)), relations=LE, rhs=np.zeros((2, 1))),
-        # bounds
-        dict(lower=np.array([2.0, 0.0]), upper=np.array([1.0, 1.0])),
-        dict(lower=np.zeros(3)),
     ]
     for kwargs in malformed:
         with pytest.raises(DimensionMismatch):
+            LinearProgram(objective=np.array([1.0, 2.0]), **kwargs)
+    # every variable is nonnegative: no bounds are taken
+    for kwargs in (dict(lower=np.zeros(2)), dict(upper=np.ones(2))):
+        with pytest.raises(TypeError):
             LinearProgram(objective=np.array([1.0, 2.0]), **kwargs)
 
 
@@ -203,16 +207,19 @@ def test_mixed_relations_are_coded_per_row():
 
 def test_zero_row_programs():
     # no rows at all: the bounds alone decide
-    lp = LinearProgram(objective=np.array([1.0, -1.0]), lower=np.array([-1.0, -2.0]),
-                       upper=np.array([3.0, 4.0]))
+    lp = BoxProgram(objective=np.array([1.0, -1.0]), lower=np.array([-1.0, -2.0]),
+                    upper=np.array([3.0, 4.0]))
     assert lp.constraints.shape == (0, 2) and len(lp.constraints) == 0
-    out = solve(lp)
+    out = solve_box(lp)
     assert out.status is LpStatus.OPTIMAL
     assert np.array_equal(out.solution, [3.0, -2.0])
     # an explicit (0, n) matrix with an empty relation list is the same program
-    empty = LinearProgram(objective=lp.objective, constraints=np.zeros((0, 2)), relations=[],
-                          rhs=np.zeros(0), lower=lp.lower, upper=lp.upper)
-    assert np.array_equal(solve(empty).solution, out.solution)
+    empty = BoxProgram(objective=lp.objective, constraints=np.zeros((0, 2)), relations=[],
+                       rhs=np.zeros(0), lower=lp.lower, upper=lp.upper)
+    assert np.array_equal(solve_box(empty).solution, out.solution)
+    # with x >= 0 alone, a row-free program is at the origin or unbounded
+    assert np.array_equal(solve(LinearProgram(-np.ones(2))).solution, [0.0, 0.0])
+    assert solve(LinearProgram(lp.objective)).status is LpStatus.UNBOUNDED
 
 
 def test_solve_leaves_the_program_unchanged():
@@ -249,8 +256,8 @@ def test_deterministic_reruns():
         lower=-np.ones(4),
         upper=np.ones(4),
     )
-    first = solve(LinearProgram(**lp_args))
-    second = solve(LinearProgram(**lp_args))
+    first = solve_box(BoxProgram(**lp_args))
+    second = solve_box(BoxProgram(**lp_args))
     assert first.status is second.status
     assert first.objective_value == second.objective_value
     assert np.array_equal(first.solution, second.solution)
@@ -260,7 +267,7 @@ def _random_box_lp(rng, nv, nc):
     A = rng.standard_normal((nc, nv))
     b = rng.standard_normal(nc)
     rels = rng.choice([LE, GE], size=nc)
-    return LinearProgram(
+    return BoxProgram(
         objective=rng.standard_normal(nv),
         constraints=A,
         relations=rels,
@@ -275,7 +282,7 @@ def test_matches_vertex_enumeration_oracle():
     optimal = 0
     for _ in range(60):
         lp = _random_box_lp(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        out = solve(lp)
+        out = solve_box(lp)
         status, best = lp_oracle(lp)
         assert out.status is not LpStatus.UNBOUNDED  # box-bounded by design
         if status == "infeasible":
@@ -298,8 +305,8 @@ def _no_phase_one_lp(rng):
     A = np.vstack([rng.standard_normal((nc, nv)), np.ones(nv)])
     b = np.append(rng.uniform(0.0, 2.0, nc) * rng.choice([0.0, 1.0], nc, p=[0.2, 0.8]), 5.0)
     b[: nc][np.array(rels[:nc]) == GE] *= -1.0
-    return LinearProgram(rng.standard_normal(nv), A, rels, b,
-                         lower=np.zeros(nv), upper=np.full(nv, 10.0))
+    return BoxProgram(rng.standard_normal(nv), A, rels, b,
+                      lower=np.zeros(nv), upper=np.full(nv, 10.0))
 
 
 def test_row_duals_certify_the_optimum():
@@ -311,7 +318,7 @@ def test_row_duals_certify_the_optimum():
     flipped = 0
     for _ in range(80):
         lp = _no_phase_one_lp(rng)
-        out = solve(lp)
+        out = solve_box(lp)
         assert out.status is LpStatus.OPTIMAL
         y, x = out.duals, out.solution
         ge = lp.relations == GE
@@ -330,12 +337,16 @@ def test_row_duals_certify_the_optimum():
 def test_row_duals_only_without_phase_one():
     box = dict(lower=np.zeros(2), upper=np.full(2, 3.0))
     for rel, rhs in ((EQ, 1.0), (GE, 1.0), (LE, -1.0)):
-        out = solve(LinearProgram(np.ones(2), np.array([[1.0, -1.0]]), rel, [rhs], **box))
+        out = solve_box(BoxProgram(np.ones(2), np.array([[1.0, -1.0]]), rel, [rhs], **box))
         assert out.status is LpStatus.OPTIMAL and out.duals is None
-    out = solve(LinearProgram(np.ones(2), np.array([[1.0, 1.0]]), LE, [-1.0], **box))
+    out = solve_box(BoxProgram(np.ones(2), np.array([[1.0, 1.0]]), LE, [-1.0], **box))
     assert out.status is LpStatus.INFEASIBLE and out.duals is None
-    out = solve(LinearProgram(np.ones(2), **box))
+    out = solve_box(BoxProgram(np.ones(2), **box))
     assert out.duals.shape == (0,)
+    # solve itself gives one dual per row of the program it is handed, the
+    # standard form's bound rows included
+    lp, *_ = standard_form(BoxProgram(np.ones(2), **box))
+    assert solve(lp).duals.shape == (2,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -343,7 +354,7 @@ def test_row_duals_only_without_phase_one():
 def test_solution_feasibility_property(seed):
     rng = np.random.default_rng(seed)
     lp = _random_box_lp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-    out = solve(lp)
+    out = solve_box(lp)
     if out.status is LpStatus.OPTIMAL:
         assert lp_feasible(lp, out.solution)
         assert np.isclose(out.objective_value, float(lp.objective @ out.solution))
@@ -377,7 +388,7 @@ def _degenerate_pole_lp(rng, lift=False):
         A = np.vstack([np.column_stack([A, c]), np.append(np.zeros(k + 1), d)])
         rels, b = rels + [LE], np.append(c / 10, d / 10)
         lower, upper, obj = np.append(lower, 0.0), np.append(upper, 1.0), np.append(obj, 100.0)
-    return LinearProgram(obj, A, rels, b, lower=lower, upper=upper)
+    return BoxProgram(obj, A, rels, b, lower=lower, upper=upper)
 
 
 @pytest.mark.parametrize("lift", [False, True])
@@ -386,7 +397,7 @@ def test_degenerate_pole_lps_match_oracle(lift):
     seen = set()
     for _ in range(150):
         lp = _degenerate_pole_lp(rng, lift)
-        out = solve(lp)
+        out = solve_box(lp)
         status, best = lp_oracle(lp)
         seen.add(status)
         if status == "infeasible":
@@ -446,7 +457,8 @@ def test_roundoff_degenerate_pivots_hand_over_to_bland(monkeypatch):
     # count stay with Dantzig's column, also where Bland's differs, and any
     # that reaches it hands over
     rng = np.random.default_rng(5)
-    runs = _entering_columns([_degenerate_pole_lp(rng, lift=True) for _ in range(150)])
+    lps = [standard_form(_degenerate_pole_lp(rng, lift=True))[0] for _ in range(150)]
+    runs = _entering_columns(lps)
     decisive = 0
     for m, run in runs:
         streak = 0
@@ -462,14 +474,14 @@ def test_phase_one_keeps_rows_that_pin_slacks():
     # artificial of the >= row is basic at 0 in a row with no structural
     # entry, only slack ones.  Dropping it as redundant lost the constraint
     # and returned the infeasible optimum x = 0.
-    lp = LinearProgram(
+    lp = BoxProgram(
         objective=np.array([-1.0, -1.0]),
         constraints=np.array([[1.0, -1.0], [1.0, -1.0]]),
         relations=[LE, GE],
         rhs=np.array([1.0, 1.0]),
         upper=np.full(2, 2.0),
     )
-    out = solve(lp)
+    out = solve_box(lp)
     assert out.status is LpStatus.OPTIMAL
     assert np.allclose(out.solution, [1.0, 0.0])
     assert np.isclose(out.objective_value, -1.0)
@@ -479,7 +491,8 @@ def _bits_battery_lp(rng):
     """A small LP that mixes every branch of solve: LE/GE/EQ rows, zero and
     negative right-hand sides, scaled copies of earlier rows (phase 1 drops
     the redundant equalities), positive lower bounds (the shift), negative
-    lower bounds and free variables (the split), and finite upper bounds."""
+    lower bounds and free variables (the split), and finite upper bounds,
+    the last four in its standard form (standard_form)."""
     nv = int(rng.integers(1, 7))
     nc = int(rng.integers(0, 8))
     lower, upper = np.zeros(nv), np.full(nv, np.inf)
@@ -508,88 +521,15 @@ def _bits_battery_lp(rng):
         s = float(rng.uniform(0.5, 2.0))
         A, b = np.vstack([A, s * A[i]]), np.append(b, s * b[i])
         rels.append(rels[i])
-    return LinearProgram(
+    return BoxProgram(
         objective=rng.standard_normal(nv), constraints=A, relations=rels, rhs=b,
         lower=lower, upper=upper,
     )
 
 
-def _standardize_reference(lp):
-    """Per-variable loop form of lp._standardize, the reference for its
-    array form: the same columns, rows and values, bit for bit."""
-    owner, sign, extra = [], [], []
-    shift = np.zeros(lp.num_vars)
-    for j, (lo, hi) in enumerate(zip(lp.lower.tolist(), lp.upper.tolist())):
-        if lo == 0.0 or (math.isfinite(lo) and lo > 0.0):
-            shift[j] = lo
-            owner.append(j)
-            sign.append(1.0)
-            if math.isfinite(hi):
-                extra.append(({len(owner) - 1: 1.0}, hi - lo))
-        else:
-            owner += [j, j]
-            sign += [1.0, -1.0]
-            p, m = len(owner) - 2, len(owner) - 1
-            if math.isfinite(hi):
-                extra.append(({p: 1.0, m: -1.0}, hi))
-            if math.isfinite(lo):
-                extra.append(({p: -1.0, m: 1.0}, -lo))
-    owner, sign = np.array(owner, dtype=np.intp), np.array(sign)
-    E = np.zeros((len(extra), owner.size))
-    for i, (entries, _) in enumerate(extra):
-        for k, v in entries.items():
-            E[i, k] = v
-    A0 = lp.constraints
-    rhs0 = lp.rhs - np.vecdot(A0, shift) if shift.any() else lp.rhs
-    return (
-        lp.objective[owner] * sign,
-        np.vstack([A0[:, owner] * sign, E]),
-        np.concatenate([lp.code, np.ones(len(extra), dtype=np.intp)]),
-        np.concatenate([rhs0, [b for _, b in extra]]),
-        owner, sign, shift,
-    )
-
-
-def test_standardize_matches_per_variable_reference():
-    # every pairing of lower and upper bound kinds: zero of either sign,
-    # positive, negative and infinite, 1..7 variables, 0..3 rows
-    rng = np.random.default_rng(7)
-    kinds = np.array([0.0, -0.0, 1.5, 2.0, -1.0, -2.5, np.inf, -np.inf])
-    for _ in range(400):
-        nv, m = int(rng.integers(1, 8)), int(rng.integers(0, 4))
-        lower = rng.choice(kinds, nv)
-        upper = np.maximum(lower, rng.choice(kinds, nv))
-        lp = LinearProgram(rng.standard_normal(nv), rng.standard_normal((m, nv)), LE,
-                           rng.standard_normal(m), lower=lower, upper=upper)
-        for got, want in zip(lp_module._standardize(lp), _standardize_reference(lp)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
-
-def test_standardize_hands_over_a_program_without_splits_or_bound_rows():
-    # default bounds and nonnegative finite lower bounds, -0.0 among them,
-    # with no upper bound: the program comes back as it is, and the shift is
-    # its lower bounds, -0.0 kept, exactly as the per-variable reference
-    # builds it.  Rows that solve must flip leave the program untouched.
-    rng = np.random.default_rng(21)
-    rels = [LE, GE, EQ, GE, LE]
-    rhs = np.array([1.0, 0.0, -0.5, -2.0, -1.0])
-    for lower in (None, [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 1.5, 0.0], [2.0, 0.5, 1.0]):
-        lp = LinearProgram(rng.standard_normal(3), rng.standard_normal((5, 3)), rels, rhs.copy(),
-                           lower=lower)
-        got = lp_module._standardize(lp)
-        for g, want in zip(got, _standardize_reference(lp)):
-            assert g.dtype == want.dtype and g.shape == want.shape
-            assert g.tobytes() == want.tobytes()
-        assert got[1] is lp.constraints and got[6] is lp.lower
-        before = [a.copy() for a in (lp.objective, lp.constraints, lp.code, lp.rhs, lp.lower)]
-        solve(lp)
-        after = (lp.objective, lp.constraints, lp.code, lp.rhs, lp.lower)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
-
-
-# sha256 of the battery's outcomes: any change to a pivot, a tie-break or the
-# rewrite into standard form changes it.  Update it only together with the
+# sha256 of the battery's outcomes, mapped back to the battery's variables:
+# any change to a pivot, a tie-break or the rewrite into standard form
+# changes it.  Update it only together with the
 # golden corpus, in a change that means to move the pivot sequence.
 _BATTERY_SHA256 = "63960a40f8c799351831a6526e4562a5ad5f952166a434eb6b4f26a24c5ecbcf"
 
@@ -599,7 +539,7 @@ def test_solver_bits_pinned():
     h = hashlib.sha256()
     statuses = set()
     for _ in range(400):
-        out = solve(_bits_battery_lp(rng))
+        out = solve_box(_bits_battery_lp(rng))
         statuses.add(out.status)
         h.update(out.status.value.encode())
         if out.solution is not None:
@@ -609,26 +549,34 @@ def test_solver_bits_pinned():
     assert h.hexdigest() == _BATTERY_SHA256
 
 
+def _assert_ray(lp, d):
+    # each row keeps its relation along d and the objective rises
+    assert d.shape == (lp.num_vars,)
+    Ad = lp.constraints @ d
+    assert np.all(Ad[lp.relations == LE] <= 1e-9)
+    assert np.all(Ad[lp.relations == GE] >= -1e-9)
+    assert np.all(np.abs(Ad[lp.relations == EQ]) <= 1e-9)
+    assert lp.objective @ d > 0.0
+
+
 def test_unbounded_outcomes_carry_a_recession_ray():
-    # every unbounded program of the battery comes with a direction along
-    # which each row keeps its relation, each finite bound is kept and the
-    # objective rises; no other outcome carries one
+    # every unbounded program of the battery comes with a direction d >= 0
+    # of its standard form, which maps back to one that keeps each finite
+    # bound of the battery's variables; no other outcome carries one
     rng = np.random.default_rng(20261018)
     unbounded = 0
     for _ in range(400):
-        lp = _bits_battery_lp(rng)
+        box = _bits_battery_lp(rng)
+        lp, *_ = standard_form(box)
         out = solve(lp)
         if out.status is not LpStatus.UNBOUNDED:
             assert out.ray is None
             continue
         unbounded += 1
-        d = out.ray
-        assert d.shape == (lp.num_vars,)
-        Ad = lp.constraints @ d
-        assert np.all(Ad[lp.relations == LE] <= 1e-9)
-        assert np.all(Ad[lp.relations == GE] >= -1e-9)
-        assert np.all(np.abs(Ad[lp.relations == EQ]) <= 1e-9)
-        assert np.all(d[np.isfinite(lp.lower)] >= -1e-9)
-        assert np.all(d[np.isfinite(lp.upper)] <= 1e-9)
-        assert lp.objective @ d > 0.0
+        assert np.all(out.ray >= -1e-9)
+        _assert_ray(lp, out.ray)
+        d = solve_box(box).ray
+        _assert_ray(box, d)
+        assert np.all(d[np.isfinite(box.lower)] >= -1e-9)
+        assert np.all(d[np.isfinite(box.upper)] <= 1e-9)
     assert unbounded >= 50

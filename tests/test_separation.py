@@ -23,7 +23,7 @@ from sphsep.errors import (
 )
 from sphsep.geometry import ToleranceConfig, normalize
 from sphsep.harness import InstanceSpec, Mode, _cap_body, generate
-from sphsep.lp import _TOL, LE, LinearProgram, LpStatus, solve
+from sphsep.lp import _TOL, LE, LpStatus, solve
 from sphsep.separation import (
     Hyperplane,
     SeparationCertificate,
@@ -39,6 +39,7 @@ from sphsep.separation import (
 )
 
 from .oracles import (
+    BoxProgram,
     box_dual_witness,
     box_pole_lp,
     cone_member_oracle,
@@ -50,6 +51,7 @@ from .oracles import (
     openness_probe_oracle,
     primal_intersect_oracle,
     separates,
+    solve_box,
 )
 
 S = 1.0 / np.sqrt(2.0)
@@ -365,6 +367,35 @@ def test_contracted_separation_matches_materialized_union(seed, c1, c2, sigma):
     assert slack / box == pytest.approx(best, rel=1e-6, abs=1e-12)
 
 
+def _caps(lp):
+    """The rows of the seven caps in a hull solve ``lp``, which poses the
+    contracted separation LP on split columns: they follow the working
+    vertex rows, and the 2d box rows follow them."""
+    d = lp.num_vars // 2 - 5
+    n = len(lp.constraints) - 7 - 2 * d
+    return slice(n, n + 7)
+
+
+def _hull_program(lp, rows=None):
+    """The contracted separation LP of a hull solve ``lp`` over
+    (P, a, b, alpha, beta, tau), read off its + columns, with the box
+    |P_m| <= 1 as bounds: its working vertex rows, or ``rows`` in their
+    place, then its caps."""
+    caps = _caps(lp)
+    A, b = lp.constraints[: caps.stop, 0::2], lp.rhs[: caps.stop]
+    if rows is not None:
+        A = np.vstack([rows, A[caps]])
+        b = np.concatenate([np.zeros(rows.shape[0]), b[caps]])
+    d = lp.num_vars // 2 - 5
+    bound = np.concatenate([np.ones(d), np.full(5, np.inf)])
+    return BoxProgram(lp.objective[0::2], A, LE, b, lower=-bound, upper=bound)
+
+
+def _unsplit(X):
+    """A hull solve's solution on split columns, decoded to its variables."""
+    return X[0::2] - X[1::2]
+
+
 def _proof_path_vertices(monkeypatch, n, m):
     """The fattened vertex sets the proof path separates on the
     force-disjoint S^n instance with m + m generators (seed 11)."""
@@ -407,13 +438,9 @@ def test_row_generation_reaches_full_lp_optimum(monkeypatch, n):
             hyp, slack = _separating_hyperplane_contracted(hull, sigma, cfg)
         lp, out = solves[-1]  # the last solve of the row generation
         assert out.status is LpStatus.OPTIMAL
-        assert np.max(hull.rows @ out.solution) <= _TOL, sigma
-        # the rows past the working set are the cap rows
-        caps = slice(int(hull.work.sum()), None)
-        every_row = np.vstack([hull.rows, lp.constraints[caps]])
-        rhs = np.concatenate([np.zeros(hull.rows.shape[0]), lp.rhs[caps]])
-        full = LinearProgram(lp.objective, every_row, LE, rhs, lp.lower, lp.upper)
-        assert lp_optimal_at(full, out.solution), sigma
+        x = _unsplit(out.solution)
+        assert np.max(hull.rows @ x) <= _TOL, sigma
+        assert lp_optimal_at(_hull_program(lp, hull.rows), x), sigma
 
         u1, u2 = np.vstack([v1, sigma * v1]), np.vstack([v2, sigma * v2])
         ones = -np.ones((u1.shape[0], 1))
@@ -442,9 +469,10 @@ def test_hull_solves_see_a_few_dozen_rows(monkeypatch):
     # the S^8 24+24 proof path separates 384+384 fattened vertices, yet no
     # LP it solves has more than a few dozen rows.  The first separation
     # starts at the 8 + 8 rows the pole difference ranks worst, and they
-    # already hold its optimum: one solve, with no row added.  That optimum
-    # straddles the origin with slack box caps, so it carries to every
-    # contraction round, and no round solves an LP
+    # already hold its optimum: one solve, with no row added, on those rows,
+    # the 7 caps and the 2 * 9 box rows of P in R^9.  That optimum straddles
+    # the origin with slack box caps, so it carries to every contraction
+    # round, and no round solves an LP
     rows = []
     hull_solves = []
 
@@ -458,7 +486,7 @@ def test_hull_solves_see_a_few_dozen_rows(monkeypatch):
     b1, b2 = generate(InstanceSpec(dimension=8, k1=24, k2=24, seed=11, mode=Mode.FORCE_DISJOINT))
     cert, trace = proof_path_witness(b1, b2)
     assert cert.margin > 0 and trace.iterations == 3
-    assert hull_solves == [2 * 8 + 7]
+    assert hull_solves == [2 * 8 + 7 + 2 * 9]
     assert max(rows) <= 48, rows
 
 
@@ -504,12 +532,8 @@ def _assert_carried_rounds_are_optima(monkeypatch, seen, cfg):
         with monkeypatch.context() as mp:
             mp.setattr(sphsep.separation, "solve", spy)
             again, _ = _separating_hyperplane_contracted(hull, sigma, cfg)
-        lp = solves[-1]
-        caps = slice(int(hull.work.sum()), None)
-        every_row = np.vstack([hull.rows, lp.constraints[caps]])
-        every_row[:, d + 4] /= sigma
-        rhs = np.concatenate([np.zeros(hull.rows.shape[0]), lp.rhs[caps]])
-        full = LinearProgram(lp.objective, every_row, LE, rhs, lp.lower, lp.upper)
+        full = _hull_program(solves[-1], hull.rows)
+        full.constraints[:, d + 4] /= sigma
         assert lp_optimal_at(full, point), sigma
         assert np.max(np.abs(again.normal - hyp.normal)) <= 1e-12, sigma
         assert abs(again.offset - hyp.offset) <= 1e-12, sigma
@@ -573,13 +597,15 @@ def test_one_sided_optimum_is_solved_again(monkeypatch, c1, c2):
     with monkeypatch.context() as mp:
         mp.setattr(sphsep.separation, "solve", spy)
         _separating_hyperplane_contracted(hull, 1.0, cfg)
-        x, duals = solved[-1][1].solution, solved[-1][1].duals
+        lp, out = solved[-1]
         _separating_hyperplane_contracted(hull, 0.5, cfg)
-    assert np.max(duals[-2:]) <= _TOL and not x[2] >= 0.0 >= x[3]
+    x = _unsplit(out.solution)
+    box_caps = out.duals[_caps(lp)][5:]
+    assert np.max(box_caps) <= _TOL and not x[2] >= 0.0 >= x[3]
     assert hull.carried is None and _carried_hyperplane(hull, 0.5) is None
     point = x.copy()
     point[4], point[5] = 0.5 * x[2], 0.5 * x[3]
-    assert lp_residual(solved[-1][0], point) > 0.05
+    assert lp_residual(_hull_program(lp), point) > 0.05
 
 
 def test_box_capped_optimum_is_solved_again():
@@ -970,6 +996,6 @@ def test_polar_pole_lp_matches_the_box_form():
         kinds.add(kind)
         rows = np.vstack([b1.generators, -b2.generators])
         t, _ = _pole_margin(solve(_pole_lp(rows)), rows.shape[1])
-        box = solve(box_pole_lp(rows))
+        box = solve_box(box_pole_lp(rows))
         assert abs(t - box.objective_value) <= 1e-12
     assert kinds == {"disjoint", "intersecting", NotHemispherical, NumericallyAmbiguous}
