@@ -27,6 +27,7 @@ from .errors import (
 )
 from .geometry import DEFAULT_CONFIG, ToleranceConfig, _norm, _unit_rows, normalize
 from .separation import (
+    _wedge_margins,
     dual_witness,
     primal_intersect,
     proof_path_witness,
@@ -213,9 +214,7 @@ def _grid_break(b1, b2, w, w_pp, cfg) -> float | None:
     one product per body (ZeroVector if a combination vanishes)."""
     t = _GRID[:, None]
     poles = _unit_rows(t * w + (1.0 - t) * w_pp)
-    margins = np.minimum((poles @ b1.generators.T).min(axis=1),
-                         -(poles @ b2.generators.T).max(axis=1))
-    broke = (~(margins > cfg.margin_tol)).nonzero()[0]
+    broke = (~(_wedge_margins(poles, b1, b2) > cfg.margin_tol)).nonzero()[0]
     return float(_GRID[broke[0]]) if broke.size else None
 
 
@@ -231,7 +230,7 @@ def _deep_checks(
     """Per-disjoint-instance checks: certificate soundness by direct dots,
     proof-path reconstruction, wedge convexity on a grid, openness probe."""
     w = dual_cert.witness
-    margin = min(float((b1.generators @ w).min()), -float((b2.generators @ w).max()))
+    margin = wedge_membership(b1, b2, w, cfg).margin
     if margin > 1e-9:
         report.checks["witness_soundness"] += 1
     else:

@@ -219,6 +219,11 @@ def wedge_membership(
     return MembershipResult(member=margin > cfg.margin_tol, margin=margin)
 
 
+def _wedge_margins(poles: np.ndarray, b1: SphericalBody, b2: SphericalBody) -> np.ndarray:
+    """wedge_membership's margin of each row of ``poles``."""
+    return np.minimum((poles @ b1.generators.T).min(1), -(poles @ b2.generators.T).max(1))
+
+
 def dual_witness(
     b1: SphericalBody,
     b2: SphericalBody,
@@ -307,38 +312,33 @@ def _split(rows: np.ndarray) -> np.ndarray:
 
 
 class _HullRows:
-    """Vertex rows of the proof path's hull separations, built once, the
-    working set of them that its LPs have needed so far, and the optimum
-    that carries to every later contraction round, once one does.
+    """The fattened vertex sets of one proof path's hull separations, the
+    working set of their rows that its LPs have needed so far, and the
+    optimum that carries to every later contraction round, once one does.
 
     Over the variables (P, a, b, alpha, beta, tau) of the contracted
     separation LP, body 1's vertex y gives the row a - P . y <= 0
     (a <= P . y) and body 2's vertex y the row P . y - b <= 0 (b >= P . y);
-    the alpha, beta and tau columns are zero.  ``rows`` holds them over
-    those variables.  lp.solve takes nonnegative variables only, so the LP
-    is posed on split columns (_split), with x = X[0::2] - X[1::2]:
-    ``split`` holds the vertex rows on them, ``objective`` the objective
-    tau, and ``box`` the 2d rows of |P_m| <= 1, an upper then a lower row
-    per coordinate.  All three are built here, once per proof path.  The
-    working set starts at the first row of each body, or, after
-    start_toward, at the rows a direction ranks worst.  It only grows, so
-    every LP of a proof path starts from the rows that its earlier rounds
-    found binding.
+    the alpha, beta and tau columns are zero.  Each vertex is held once, in
+    ``v1`` and ``v2``; ``work`` holds one mask per body, and working_rows
+    builds the masked rows only.  lp.solve takes nonnegative variables
+    only, so the LP is posed on split columns (_split), with
+    x = X[0::2] - X[1::2]: ``objective`` is tau on them and ``box`` the 2d
+    rows of |P_m| <= 1, an upper then a lower row per coordinate.  The
+    working set starts at the first row of each body or, given a direction
+    ``toward`` (from body 2 toward body 1), at the _ROWS_PER_STEP rows per
+    body that it ranks worst: body 1's vertices lowest along it and body
+    2's highest.  It only grows, so every LP of a proof path starts from
+    the rows that its earlier rounds found binding.
 
     ``carried`` is None until _separating_hyperplane_contracted certifies
     its optimum for every smaller sigma; it then holds (sigma, x), and
     later rounds read their hyperplane off x (_carried_hyperplane).
     """
 
-    def __init__(self, v1: np.ndarray, v2: np.ndarray):
-        m1, d = v1.shape
-        rows = np.zeros((m1 + v2.shape[0], d + 5))
-        rows[:m1, :d] = -v1
-        rows[:m1, d] = 1.0
-        rows[m1:, :d] = v2
-        rows[m1:, d + 1] = -1.0
-        self.rows = rows
-        self.split = _split(rows)
+    def __init__(self, v1: np.ndarray, v2: np.ndarray, toward: np.ndarray | None = None):
+        self.v1, self.v2 = v1, v2
+        d = v1.shape[1]
         objective = np.zeros(d + 5)
         objective[-1] = 1.0
         self.objective = _split(objective)
@@ -347,40 +347,44 @@ class _HullRows:
         m = np.arange(d)
         self.box[2 * m, 2 * m] = self.box[2 * m + 1, 2 * m + 1] = 1.0
         self.box[2 * m, 2 * m + 1] = self.box[2 * m + 1, 2 * m] = -1.0
-        self.bodies = (slice(0, m1), slice(m1, rows.shape[0]))
-        self.work = np.zeros(rows.shape[0], dtype=bool)
-        self.work[[0, m1]] = True
+        self.work = (np.zeros(v1.shape[0], dtype=bool), np.zeros(v2.shape[0], dtype=bool))
         self.carried: tuple[float, np.ndarray] | None = None
-
-    def start_toward(self, toward: np.ndarray | None) -> None:
-        """Restart the working set at the _ROWS_PER_STEP rows per body that
-        direction ``toward`` (from body 2 toward body 1) ranks worst: body
-        1's vertices lowest along it and body 2's highest.  None leaves the
-        working set as it is."""
         if toward is None:
-            return
-        self.work[:] = False
-        d = self.rows.shape[1] - 5
-        # a row's excess a - P . y (body 1) or P . y - b (body 2) at P = toward
-        excess = self.rows[:, :d] @ toward
-        for body in self.bodies:
-            worst = np.argsort(-excess[body], kind="stable")[:_ROWS_PER_STEP]
-            self.work[body.start + worst] = True
+            self.work[0][0] = self.work[1][0] = True
+        else:
+            # a row's excess a - P . y (body 1) or P . y - b (body 2) at P = toward
+            self._add_worst((-(v1 @ toward), v2 @ toward), -np.inf)
+
+    def _add_worst(self, excess: tuple[np.ndarray, np.ndarray], floor: float) -> bool:
+        """Add to the working set the (up to) _ROWS_PER_STEP rows of each
+        body outside it with the largest excess above ``floor``; False when
+        there are none."""
+        added = False
+        for work, part in zip(self.work, excess):
+            part[work] = -np.inf
+            worst = np.argsort(-part, kind="stable")[:_ROWS_PER_STEP]
+            worst = worst[part[worst] > floor]
+            work[worst] = True
+            added |= worst.size > 0
+        return added
 
     def add_violated(self, x: np.ndarray) -> bool:
         """Add to the working set the (up to) _ROWS_PER_STEP rows of each
         body that x violates most, by more than the simplex tolerance;
         False when no row outside the working set is violated."""
-        excess = self.rows @ x
-        excess[self.work] = -np.inf
-        added = False
-        for body in self.bodies:
-            part = excess[body]
-            worst = np.argsort(-part, kind="stable")[:_ROWS_PER_STEP]
-            worst = worst[part[worst] > _TOL]
-            self.work[body.start + worst] = True
-            added |= worst.size > 0
-        return added
+        d = self.v1.shape[1]
+        return self._add_worst((x[d] - self.v1 @ x[:d], self.v2 @ x[:d] - x[d + 1]), _TOL)
+
+    def working_rows(self) -> np.ndarray:
+        """The working vertex rows on split columns, body 1's first, in vertex order."""
+        u1, u2 = self.v1[self.work[0]], self.v2[self.work[1]]
+        k, d = u1.shape
+        rows = np.zeros((k + u2.shape[0], d + 5))
+        rows[:k, :d] = -u1
+        rows[:k, d] = 1.0
+        rows[k:, :d] = u2
+        rows[k:, d + 1] = -1.0
+        return _split(rows)
 
 
 def _hyperplane(x: np.ndarray, sigma: float) -> tuple[Hyperplane, float]:
@@ -446,15 +450,15 @@ def _separating_hyperplane_contracted(
     rows.
 
     Posed to lp.solve on the split columns of ``hull``, a step's program
-    is the working vertex rows, the seven caps (split per call, since they
-    hold sigma) and the box rows, in that order; its solution X decodes as
-    x = X[0::2] - X[1::2].
+    is its working vertex rows (built per step), the seven caps (split per
+    call, since they hold sigma) and the box rows, in that order; its
+    solution X decodes as x = X[0::2] - X[1::2].
 
     For vertices in R^d the LP has d + 5 variables but one row per vertex
     of ``hull``, and at most d + 5 rows pin the optimum, so it is solved by
     row generation (Kelley's cutting planes): solve over the working set,
-    check the solution against every vertex row with one product, add the
-    most violated rows and solve again, until no row is violated by more
+    check the solution against every vertex row, one product per body, add
+    the most violated rows and solve again, until no row is violated by more
     than the simplex tolerance.  The last solution is then an optimum of
     the full LP, feasible within that tolerance like a direct solve.  The
     solves of one call share its pivot budget.  Returns the hyperplane
@@ -473,7 +477,7 @@ def _separating_hyperplane_contracted(
     Such an optimum is stored as ``hull.carried``, which the proof path
     reads instead of solving again.
     """
-    d = hull.rows.shape[1] - 5
+    d = hull.v1.shape[1]
     # variables: P_1..P_d, a, b, alpha, beta, tau
     ia, ib, ial, ibe, itau = range(d, d + 5)
     caps = np.zeros((7, d + 5))
@@ -489,7 +493,7 @@ def _separating_hyperplane_contracted(
     tail_rhs = np.concatenate([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0], np.ones(2 * d)])
     budget = left = 100 * cfg.max_iter
     while True:
-        work = hull.split[hull.work]
+        work = hull.working_rows()
         n = work.shape[0]
         rhs = np.concatenate([np.zeros(n), tail_rhs])
         lp = LinearProgram(hull.objective, np.vstack([work, tail]), LE, rhs)
@@ -533,8 +537,8 @@ def proof_path_witness(
     (2) Halving search for a fattening radius epsilon0 whose fattened
     pullbacks stay hemispherical and disjoint (starting at 0.5).
     (3) Max-slack hyperplane between the Euclidean hulls of the fattened
-    pullback generators: the contracted separation at sigma = 1, whose row
-    generation starts at the vertices that the pole difference
+    pullback generators, held once: the contracted separation at sigma = 1,
+    whose row generation starts at the vertices that the pole difference
     normalize(p1 - p2) ranks worst.  (4) One contraction loop, which runs
     while the offset magnitude is >= offset_tol or the normal is not yet a
     strict member of the witness wedge of the original bodies
@@ -582,8 +586,7 @@ def proof_path_witness(
         )
 
     # (3) separate the Euclidean hulls
-    hull = _HullRows(x1.generators, x2.generators)
-    hull.start_toward(_pole_difference(p1, p2))
+    hull = _HullRows(x1.generators, x2.generators, _pole_difference(p1, p2))
     hyp, _ = _separating_hyperplane_contracted(hull, 1.0, cfg)
     trace = ProofTrace(epsilon0=eps, offsets=[abs(hyp.offset)])
 
@@ -668,8 +671,4 @@ def wedge_openness_probe(
     raw = rng.standard_normal((k, pv.size))
     raw -= np.outer(raw @ pv, pv)
     perturbed = np.cos(theta) * pv + np.sin(theta) * _unit_rows(raw)
-    margins = np.minimum(
-        (perturbed @ b1.generators.T).min(axis=1),
-        -(perturbed @ b2.generators.T).max(axis=1),
-    )
-    return float(margins.min())
+    return float(_wedge_margins(perturbed, b1, b2).min())

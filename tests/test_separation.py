@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,15 +316,55 @@ def _proof_path_pin_cases():
 _PROOF_PATH_SHA256 = "82792365a97d752a5f0faf6dab8cb3258c8f266cc28019d95df25731d1c38f80"
 
 
-def test_proof_path_bits_pinned():
+def _proof_path_sha256(cases):
+    """sha256 of the proof path's fattening radius, offsets, witness and
+    margin over ``cases``, pairs ((b1, b2), cfg)."""
     h = hashlib.sha256()
-    for (b1, b2), cfg in _proof_path_pin_cases():
+    for (b1, b2), cfg in cases:
         cert, trace = proof_path_witness(b1, b2, cfg)
         h.update(np.float64(trace.epsilon0).tobytes())
         h.update(np.array(trace.offsets).tobytes())
         h.update(cert.witness.tobytes())
         h.update(np.float64(cert.margin).tobytes())
-    assert h.hexdigest() == _PROOF_PATH_SHA256
+    return h.hexdigest()
+
+
+def test_proof_path_bits_pinned():
+    assert _proof_path_sha256(_proof_path_pin_cases()) == _PROOF_PATH_SHA256
+
+
+def _large_pair(n, m):
+    """The force-disjoint S^n instance with m + m generators (seed 11)."""
+    return generate(InstanceSpec(dimension=n, k1=m, k2=m, seed=11, mode=Mode.FORCE_DISJOINT))
+
+
+# the same sha256 over the proof paths of the (8, 24), (20, 40) and (40, 80)
+# instances of _large_pair, whose 384 to 6400 fattened vertices per body
+# are separated by row generation over a working set of them
+_LARGE_PROOF_PATH_SHA256 = "0aacf5db2da63ed19469fe636c0e29dea56b74bd94d4a6574ad1f49e6cbdf420"
+
+
+def test_large_proof_path_bits_pinned():
+    cases = ((_large_pair(n, m), ToleranceConfig()) for n, m in ((8, 24), (20, 40), (40, 80)))
+    assert _proof_path_sha256(cases) == _LARGE_PROOF_PATH_SHA256
+
+
+def test_proof_path_peak_memory_holds_each_fattened_vertex_once():
+    # The (40, 80) proof path fattens each body to 2 * 40 * 80 vertices in
+    # R^41, 4 MiB of vertices in all.  Its hull separations read them as
+    # they are and build only their working rows, so the traced peak of the
+    # whole path is about 2.1 such copies.  Holding every vertex row over
+    # the LP's variables as well, and again on split columns, peaks at 5.5.
+    n, m = 40, 80
+    b1, b2 = _large_pair(n, m)
+    tracemalloc.start()
+    try:
+        proof_path_witness(b1, b2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vertex_bytes = 4 * n * m * (n + 1) * 8
+    assert peak <= 3 * vertex_bytes, peak / vertex_bytes
 
 
 # vertex-set centres and contraction factor: hulls on opposite sides of the
@@ -391,6 +432,17 @@ def _hull_program(lp, rows=None):
     return BoxProgram(lp.objective[0::2], A, LE, b, lower=-bound, upper=bound)
 
 
+def _vertex_rows(hull):
+    """Every vertex row of ``hull`` over (P, a, b, alpha, beta, tau), body
+    1's then body 2's: a - P . y <= 0 for y in v1 and P . y - b <= 0 for y
+    in v2."""
+    (m1, d), m2 = hull.v1.shape, hull.v2.shape[0]
+    rows = np.zeros((m1 + m2, d + 5))
+    rows[:m1, :d], rows[:m1, d] = -hull.v1, 1.0
+    rows[m1:, :d], rows[m1:, d + 1] = hull.v2, -1.0
+    return rows
+
+
 def _unsplit(X):
     """A hull solve's solution on split columns, decoded to its variables."""
     return X[0::2] - X[1::2]
@@ -402,13 +454,12 @@ def _proof_path_vertices(monkeypatch, n, m):
     seen = []
 
     class Recording(_HullRows):
-        def __init__(self, v1, v2):
-            super().__init__(v1, v2)
+        def __init__(self, v1, v2, toward=None):
+            super().__init__(v1, v2, toward)
             seen.append((v1, v2))
 
     monkeypatch.setattr(sphsep.separation, "_HullRows", Recording)
-    b1, b2 = generate(InstanceSpec(dimension=n, k1=m, k2=m, seed=11, mode=Mode.FORCE_DISJOINT))
-    proof_path_witness(b1, b2)
+    proof_path_witness(*_large_pair(n, m))
     return seen[0]
 
 
@@ -439,8 +490,9 @@ def test_row_generation_reaches_full_lp_optimum(monkeypatch, n):
         lp, out = solves[-1]  # the last solve of the row generation
         assert out.status is LpStatus.OPTIMAL
         x = _unsplit(out.solution)
-        assert np.max(hull.rows @ x) <= _TOL, sigma
-        assert lp_optimal_at(_hull_program(lp, hull.rows), x), sigma
+        rows = _vertex_rows(hull)
+        assert np.max(rows @ x) <= _TOL, sigma
+        assert lp_optimal_at(_hull_program(lp, rows), x), sigma
 
         u1, u2 = np.vstack([v1, sigma * v1]), np.vstack([v2, sigma * v2])
         ones = -np.ones((u1.shape[0], 1))
@@ -532,7 +584,7 @@ def _assert_carried_rounds_are_optima(monkeypatch, seen, cfg):
         with monkeypatch.context() as mp:
             mp.setattr(sphsep.separation, "solve", spy)
             again, _ = _separating_hyperplane_contracted(hull, sigma, cfg)
-        full = _hull_program(solves[-1], hull.rows)
+        full = _hull_program(solves[-1], _vertex_rows(hull))
         full.constraints[:, d + 4] /= sigma
         assert lp_optimal_at(full, point), sigma
         assert np.max(np.abs(again.normal - hyp.normal)) <= 1e-12, sigma
@@ -562,9 +614,8 @@ def test_carried_rounds_are_optima_near_contact(monkeypatch, n):
 
 @pytest.mark.parametrize("n, m", [(8, 24), (20, 40)])
 def test_carried_rounds_are_optima_on_large_proof_paths(monkeypatch, n, m):
-    b1, b2 = generate(InstanceSpec(dimension=n, k1=m, k2=m, seed=11, mode=Mode.FORCE_DISJOINT))
     cfg = ToleranceConfig()
-    seen = _carried_rounds(monkeypatch, b1, b2, cfg)
+    seen = _carried_rounds(monkeypatch, *_large_pair(n, m), cfg)
     assert seen
     _assert_carried_rounds_are_optima(monkeypatch, seen, cfg)
 
