@@ -5,25 +5,19 @@ library decides whether two such hulls are disjoint (a homogeneous
 feasibility program over the generating cones), produces a separating
 pole whose orthogonal great hypersphere splits the bodies (a
 margin-maximizing program), and can alternatively construct such a pole
-step by step: project to a tangent space, fatten, separate the Euclidean
-hulls, and contract the hyperplane offset to zero.
+step by step: project each body to a tangent space (central_project),
+widen its tangent coordinates by a cross-polytope, map them back to the
+sphere (central_unproject), separate the Euclidean hulls, and contract the
+hyperplane offset to zero.
 """
 
-from .convexity import (
-    SphericalBody,
-    TangentPolytope,
-    fatten,
-    hemisphericity_witness,
-    project_body,
-    pullback,
-)
+from .convexity import SphericalBody, hemisphericity_witness
 from .errors import (
     ContractionStalled,
     DimensionMismatch,
     EpsilonSearchFailed,
     GenerationFailed,
     IterationLimit,
-    NegativeEpsilon,
     NotHemispherical,
     NumericallyAmbiguous,
     OutsideOpenHemisphere,
@@ -32,7 +26,6 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_CONFIG,
-    TangentFrame,
     ToleranceConfig,
     central_project,
     central_unproject,
@@ -77,7 +70,6 @@ __all__ = [
     "LpStatus",
     "MembershipResult",
     "Mode",
-    "NegativeEpsilon",
     "NotHemispherical",
     "NumericallyAmbiguous",
     "OutsideOpenHemisphere",
@@ -85,22 +77,17 @@ __all__ = [
     "SeparationCertificate",
     "SphSepError",
     "SphericalBody",
-    "TangentFrame",
-    "TangentPolytope",
     "ToleranceConfig",
     "ZeroVector",
     "central_project",
     "central_unproject",
     "dual_witness",
-    "fatten",
     "generate",
     "hemisphericity_witness",
     "normalize",
     "orthonormal_frame",
     "primal_intersect",
-    "project_body",
     "proof_path_witness",
-    "pullback",
     "run_equivalence_campaign",
     "wedge_membership",
     "wedge_openness_probe",

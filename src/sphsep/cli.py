@@ -38,7 +38,7 @@ from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
 
-from .convexity import SphericalBody, hemisphericity_witness, project_body
+from .convexity import SphericalBody, hemisphericity_witness
 from .errors import (
     ContractionStalled,
     EpsilonSearchFailed,
@@ -46,7 +46,14 @@ from .errors import (
     NotHemispherical,
     NumericallyAmbiguous,
 )
-from .geometry import DEFAULT_CONFIG, _UNIT_TOL, ToleranceConfig, normalize, orthonormal_frame
+from .geometry import (
+    DEFAULT_CONFIG,
+    _UNIT_TOL,
+    ToleranceConfig,
+    central_project,
+    normalize,
+    orthonormal_frame,
+)
 from .harness import run_equivalence_campaign
 from .separation import dual_witness, primal_intersect, proof_path_witness
 
@@ -133,6 +140,10 @@ def _load_instance(path: str, args) -> tuple[SphericalBody, SphericalBody, Toler
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise _InputError(f"{path} nests JSON too deeply to parse") from exc
     if not isinstance(data, dict):
         raise _InputError("instance document must be a JSON object")
     n = data.get("n")
@@ -256,6 +267,8 @@ def _cmd_fuzz(args) -> int:
             raise _InputError("sizes must be >= 1")
         if args.count < 0:
             raise _InputError("count must be >= 0")
+        if args.seed < 0:
+            raise _InputError("seed must be >= 0")
         cfg = _tolerances_from({}, args)
     except _InputError as exc:
         return _fail(str(exc), 4)
@@ -321,7 +334,7 @@ def _body_scene(body: SphericalBody, cfg: ToleranceConfig) -> dict:
     edges, found by projecting along its hemisphericity witness."""
     gens = body.generators
     frame = orthonormal_frame(hemisphericity_witness(body, cfg))
-    flat = project_body(body, frame, cfg).vertices
+    flat = central_project(frame, gens, cfg)
     arcs = [
         _slerp(gens[i], gens[j], _ARC_SAMPLES) for i, j in _hull_edges_2d(flat)
     ]

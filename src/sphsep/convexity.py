@@ -1,13 +1,15 @@
-"""Spherical bodies and their tangent-plane images.
+"""Spherical bodies and their hemisphericity poles.
 
 A body is the closed spherical hull of finitely many unit generators: the set
 of normalized nonnegative combinations.  Everything here stays polytopal so
 that hemisphericality and separation can be certified by small linear
 programs:
 
+  * SphericalBody           -- unit generators, deduplicated at construction
   * hemisphericity_witness  -- pole with positive dot against every generator
-  * project_body / pullback -- move generators through the central projection
-  * fatten                  -- Minkowski sum with an epsilon cross-polytope
+
+Moving generators to and from a tangent plane is geometry's
+central_project and central_unproject, on the row matrix itself.
 """
 
 from __future__ import annotations
@@ -16,30 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeEpsilon, NotHemispherical
+from .errors import DimensionMismatch, NotHemispherical
 from .geometry import (
     DEFAULT_CONFIG,
     _SHAPE_TOL,
     _UNIT_TOL,
-    TangentFrame,
     ToleranceConfig,
     _norm,
     _rows,
     _unit_rows,
-    central_project,
-    central_unproject,
     normalize,
 )
 from .lp import LE, LinearProgram, LpOutcome, LpStatus, solve
 
-__all__ = [
-    "SphericalBody",
-    "TangentPolytope",
-    "fatten",
-    "hemisphericity_witness",
-    "project_body",
-    "pullback",
-]
+__all__ = ["SphericalBody", "hemisphericity_witness"]
 
 
 def _dedupe_rows(rows: np.ndarray, tol: float) -> np.ndarray:
@@ -112,26 +104,6 @@ class SphericalBody:
         return self.generators.shape[1] - 1
 
 
-@dataclass(frozen=True)
-class TangentPolytope:
-    """Convex hull of finitely many points in a tangent frame's coordinates."""
-
-    frame: TangentFrame
-    vertices: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[0] == 0:
-            raise DimensionMismatch("vertices must be a nonempty 2-D array")
-        if v.shape[1] != self.frame.n:
-            raise DimensionMismatch(
-                f"vertices have {v.shape[1]} coordinates, frame expects {self.frame.n}"
-            )
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
-
-
 def _pole_lp(rows: np.ndarray) -> LinearProgram:
     """The pole LP in polar form: maximize sum y subject to
     -w <= rows^T y <= w, sum w <= 1, y, w >= 0.
@@ -197,7 +169,7 @@ def hemisphericity_witness(
         pole = total / norm
         if (g @ pole).min() > cfg.margin_tol:
             return pole
-    out = solve(_pole_lp(g), max_pivots=100 * cfg.max_iter)
+    out = solve(_pole_lp(g), max_pivots=cfg.max_pivots)
     margin, x = _pole_margin(out, g.shape[1])
     if margin > cfg.margin_tol:
         pole = normalize(x)
@@ -208,46 +180,3 @@ def hemisphericity_witness(
         f"no open hemisphere contains all {g.shape[0]} generators "
         f"(best margin {margin:.3e})"
     )
-
-
-def project_body(
-    body: SphericalBody,
-    frame: TangentFrame,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-) -> TangentPolytope:
-    """Image of the generators under one central_project call at frame.base.
-
-    Requires every generator to lie in the open hemisphere of frame.base
-    (raises OutsideOpenHemisphere otherwise).  The spherical hull of the body
-    corresponds to the affine hull polytope of the output.
-    """
-    return TangentPolytope(frame=frame, vertices=central_project(frame, body.generators, cfg))
-
-
-def fatten(poly: TangentPolytope, eps: float) -> TangentPolytope:
-    """Minkowski sum with the eps cross-polytope, as a vertex set.
-
-    Output vertices are v +- eps e_k for every input vertex v and axis k
-    (vertex-major order).  For eps > 0 every input vertex lands strictly
-    inside the hull of the output; eps = 0 returns the polytope unchanged.
-    """
-    if eps < 0:
-        raise NegativeEpsilon(f"fattening radius must be nonnegative, got {eps}")
-    if eps == 0:
-        return poly
-    n = poly.frame.n
-    axis = np.arange(n)
-    offsets = np.zeros((2 * n, n))
-    offsets[2 * axis, axis] = eps
-    offsets[2 * axis + 1, axis] = -eps
-    fat = (poly.vertices[:, None, :] + offsets[None, :, :]).reshape(-1, n)
-    return TangentPolytope(frame=poly.frame, vertices=fat)
-
-
-def pullback(poly: TangentPolytope) -> SphericalBody:
-    """Body of the polytope vertices, unprojected by one central_unproject call.
-
-    Always hemispherical with witness frame.base, since every unprojected
-    point has dot 1/sqrt(1 + |x|^2) > 0 against the base.
-    """
-    return SphericalBody(central_unproject(poly.frame, poly.vertices))

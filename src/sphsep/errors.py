@@ -17,10 +17,6 @@ class NotHemispherical(SphSepError):
     """No pole has strictly positive dot product with every generator."""
 
 
-class NegativeEpsilon(SphSepError):
-    """Fattening radius must be nonnegative."""
-
-
 class DimensionMismatch(SphSepError):
     """Malformed input: inconsistent vector lengths or bounds."""
 

@@ -2,10 +2,10 @@
 
 Points on S^n are plain numpy arrays of length n+1 with unit Euclidean
 norm, and a set of points is a matrix with one point per row.  Tangent
-spaces are realized concretely: a ``TangentFrame`` carries an explicit
-orthonormal basis of the tangent space at its base point, so central
-(gnomonic) projection, row by row on the last axis, lands in ordinary R^n
-coordinates.
+spaces are realized concretely: a ``TangentFrame`` (made by
+orthonormal_frame) carries an explicit orthonormal basis of the tangent
+space at its base point, so central (gnomonic) projection, row by row on
+the last axis, lands in ordinary R^n coordinates.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import OutsideOpenHemisphere, ZeroVector
 
 __all__ = [
     "DEFAULT_CONFIG",
-    "TangentFrame",
     "ToleranceConfig",
     "central_project",
     "central_unproject",
@@ -43,7 +42,8 @@ class ToleranceConfig:
     margin_tol  -- threshold turning strict inequalities into decidable ones
     offset_tol  -- target for the separating-hyperplane offset contraction
     max_iter    -- cap on the proof path's fattening halvings and contraction
-                   rounds; each LP also gets a budget of 100 * max_iter pivots
+                   rounds; each LP also gets a budget of max_pivots
+                   (100 * max_iter) pivots
 
     The unit-vector and duplicate tolerance (geometry._UNIT_TOL, 1e-12) and
     the simplex tolerance (lp._TOL, 1e-10) are fixed.
@@ -67,6 +67,11 @@ class ToleranceConfig:
             raise TypeError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+
+    @property
+    def max_pivots(self) -> int:
+        """The pivot budget of one LP (or one hull-separation row generation)."""
+        return 100 * self.max_iter
 
 
 DEFAULT_CONFIG = ToleranceConfig()

@@ -9,9 +9,10 @@ route:
   * primal_intersect    -- cone feasibility: do the spherical hulls meet?
   * dual_witness        -- margin-maximizing pole via LP
   * wedge_membership    -- direct generator dot-product test for a pole
-  * proof_path_witness  -- constructive route: project, fatten, pull back,
-                           separate the Euclidean hulls by a hyperplane, and
-                           contract its offset to zero
+  * proof_path_witness  -- constructive route: project to tangent planes,
+                           widen by a cross-polytope, unproject, separate the
+                           Euclidean hulls by a hyperplane, and contract its
+                           offset to zero
   * wedge_openness_probe -- perturbation check that the wedge is open
 
 The proof-path route never consults dual_witness, which makes the two
@@ -25,15 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convexity import (
-    SphericalBody,
-    _pole_lp,
-    _pole_margin,
-    fatten,
-    hemisphericity_witness,
-    project_body,
-    pullback,
-)
+from .convexity import SphericalBody, _pole_lp, _pole_margin, hemisphericity_witness
 from .errors import (
     ContractionStalled,
     DimensionMismatch,
@@ -44,11 +37,12 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_CONFIG,
-    _SHAPE_TOL,
     _UNIT_TOL,
     ToleranceConfig,
     _norm,
     _unit_rows,
+    central_project,
+    central_unproject,
     normalize,
     orthonormal_frame,
 )
@@ -66,22 +60,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """The set {x : normal . x = offset}, with unit normal: what one hull
-    separation of the proof path finds."""
+    separation of the proof path finds (built by _hyperplane only)."""
 
     normal: np.ndarray
     offset: float
-
-    def __post_init__(self) -> None:
-        nrm = np.asarray(self.normal, dtype=float)
-        if abs(_norm(nrm) - 1.0) > _SHAPE_TOL:
-            raise DimensionMismatch("hyperplane normal must be a unit vector")
-        nrm = nrm.copy()
-        nrm.flags.writeable = False
-        object.__setattr__(self, "normal", nrm)
-        object.__setattr__(self, "offset", float(self.offset))
 
 
 class MembershipResult(NamedTuple):
@@ -189,7 +173,7 @@ def primal_intersect(
     rhs[d] = 1.0
     out = solve(
         LinearProgram(objective=np.zeros(m1 + m2), constraints=A, relations=EQ, rhs=rhs),
-        max_pivots=100 * cfg.max_iter,
+        max_pivots=cfg.max_pivots,
     )
     if out.status is not LpStatus.OPTIMAL:
         return None
@@ -262,7 +246,7 @@ def dual_witness(
     _require_same_dimension(b1, b2)
     g1, g2 = b1.generators, b2.generators
     m1, m = g1.shape[0], g1.shape[0] + g2.shape[0]
-    out = solve(_pole_lp(np.vstack([g1, -g2])), max_pivots=100 * cfg.max_iter)
+    out = solve(_pole_lp(np.vstack([g1, -g2])), max_pivots=cfg.max_pivots)
     t, x = _pole_margin(out, g1.shape[1])
     if t > cfg.margin_tol:
         witness = normalize(x)
@@ -399,7 +383,7 @@ def _hyperplane(x: np.ndarray, sigma: float) -> tuple[Hyperplane, float]:
     nrm = _norm(p)
     if nrm <= _TOL:
         raise ContractionStalled("degenerate zero normal in hull separation")
-    return Hyperplane(normal=p / nrm, offset=r / nrm), t / nrm
+    return Hyperplane(p / nrm, float(r / nrm)), t / nrm
 
 
 def _carried_hyperplane(hull: _HullRows, sigma: float) -> tuple[Hyperplane, float] | None:
@@ -491,7 +475,7 @@ def _separating_hyperplane_contracted(
     # the caps and then the box rows follow the working rows
     tail = np.vstack([_split(caps), hull.box])
     tail_rhs = np.concatenate([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0], np.ones(2 * d)])
-    budget = left = 100 * cfg.max_iter
+    budget = left = cfg.max_pivots
     while True:
         work = hull.working_rows()
         n = work.shape[0]
@@ -524,6 +508,18 @@ def _separating_hyperplane_contracted(
     return found
 
 
+def _fatten(x: np.ndarray, eps: float) -> np.ndarray:
+    """Vertices of the Minkowski sum of hull(x) with the eps cross-polytope:
+    the rows x +- eps e_k for every row of tangent coordinates x and axis k,
+    vertex-major.  For eps > 0 every row of x lies strictly inside their hull."""
+    n = x.shape[1]
+    axis = np.arange(n)
+    offsets = np.zeros((2 * n, n))
+    offsets[2 * axis, axis] = eps
+    offsets[2 * axis + 1, axis] = -eps
+    return (x[:, None, :] + offsets[None, :, :]).reshape(-1, n)
+
+
 def proof_path_witness(
     b1: SphericalBody,
     b2: SphericalBody,
@@ -535,9 +531,10 @@ def proof_path_witness(
     normalized generator sum when that clears margin_tol, else the pole
     LP's), the tangent frame at it and the central projection of the body.
     (2) Halving search for a fattening radius epsilon0 whose fattened
-    pullbacks stay hemispherical and disjoint (starting at 0.5).
+    bodies stay hemispherical and disjoint (starting at 0.5): each try
+    widens the tangent coordinates by _fatten and unprojects them.
     (3) Max-slack hyperplane between the Euclidean hulls of the fattened
-    pullback generators, held once: the contracted separation at sigma = 1,
+    generators, held once: the contracted separation at sigma = 1,
     whose row generation starts at the vertices that the pole difference
     normalize(p1 - p2) ranks worst.  (4) One contraction loop, which runs
     while the offset magnitude is >= offset_tol or the normal is not yet a
@@ -563,15 +560,15 @@ def proof_path_witness(
     _require_same_dimension(b1, b2)
     p1, p2 = hemisphericity_witness(b1, cfg), hemisphericity_witness(b2, cfg)
     f1, f2 = orthonormal_frame(p1), orthonormal_frame(p2)
-    poly1 = project_body(b1, f1, cfg)
-    poly2 = project_body(b2, f2, cfg)
+    t1 = central_project(f1, b1.generators, cfg)
+    t2 = central_project(f2, b2.generators, cfg)
 
     # (2) fattening radius search by halving
     eps = 0.5
     x1 = x2 = None
     for _ in range(cfg.max_iter):
-        cand1 = pullback(fatten(poly1, eps))
-        cand2 = pullback(fatten(poly2, eps))
+        cand1 = SphericalBody(central_unproject(f1, _fatten(t1, eps)))
+        cand2 = SphericalBody(central_unproject(f2, _fatten(t2, eps)))
         try:
             if primal_intersect(cand1, cand2, cfg) is None:
                 x1, x2 = cand1, cand2

@@ -381,7 +381,7 @@ def primal_intersect_oracle(b1, b2, cfg=DEFAULT_CONFIG):
     rhs[d] = 1.0
     out = solve(
         LinearProgram(objective=np.zeros(A.shape[1]), constraints=A, relations=EQ, rhs=rhs),
-        max_pivots=100 * cfg.max_iter,
+        max_pivots=cfg.max_pivots,
     )
     if out.status is not LpStatus.OPTIMAL:
         return None
@@ -401,7 +401,7 @@ def dual_witness_oracle(b1, b2, cfg=DEFAULT_CONFIG):
     hemisphericity_witness(b1, cfg)
     hemisphericity_witness(b2, cfg)
     g1, g2 = b1.generators, b2.generators
-    out = solve(_pole_lp(np.vstack([g1, -g2])), max_pivots=100 * cfg.max_iter)
+    out = solve(_pole_lp(np.vstack([g1, -g2])), max_pivots=cfg.max_pivots)
     t, x = _pole_margin(out, g1.shape[1])
     if t > cfg.margin_tol:
         witness = normalize(x)
@@ -438,7 +438,7 @@ def box_dual_witness(b1, b2, cfg=DEFAULT_CONFIG):
     if b1.n != b2.n:
         raise DimensionMismatch("bodies live on different spheres")
     g1, g2 = b1.generators, b2.generators
-    out = solve_box(box_pole_lp(np.vstack([g1, -g2])), max_pivots=100 * cfg.max_iter)
+    out = solve_box(box_pole_lp(np.vstack([g1, -g2])), max_pivots=cfg.max_pivots)
     t = out.objective_value if out.status is LpStatus.OPTIMAL else 0.0
     if t > cfg.margin_tol:
         witness = normalize(out.solution[:-1])

@@ -132,6 +132,16 @@ def test_check_invalid_json_and_missing_file(tmp_path, capsys):
     assert code == 4 and "JSON" in err
     code, _, err = run_cli(capsys, "check", str(tmp_path / "absent.json"))
     assert code == 4 and "cannot read" in err
+    # a UTF-16 byte-order mark is no UTF-8 text
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{}")
+    code, _, err = run_cli(capsys, "check", str(utf16))
+    assert code == 4 and str(utf16) in err and "UTF-8" in err
+    # nesting past the parser's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run_cli(capsys, "check", str(deep))
+    assert code == 4 and str(deep) in err and "too deeply" in err
 
 
 def test_non_unit_rows_normalized_with_note(tmp_path, capsys):
@@ -473,6 +483,7 @@ def test_fuzz_deep_check_failure_exit_code(capsys, monkeypatch):
         ("--sizes", "3..1"),
         ("--sizes", "-2"),
         ("--count", "-1"),
+        ("--seed", "-1"),
     ],
 )
 def test_fuzz_rejects_bad_lists(capsys, flags):

@@ -5,23 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from sphsep.convexity import (
-    SphericalBody,
-    TangentPolytope,
-    _dedupe_rows,
-    fatten,
-    hemisphericity_witness,
-    project_body,
-    pullback,
+from sphsep.convexity import SphericalBody, _dedupe_rows, hemisphericity_witness
+from sphsep.errors import DimensionMismatch, NotHemispherical, ZeroVector
+from sphsep.geometry import (
+    ToleranceConfig,
+    central_project,
+    central_unproject,
+    normalize,
+    orthonormal_frame,
 )
-from sphsep.errors import (
-    DimensionMismatch,
-    NegativeEpsilon,
-    NotHemispherical,
-    OutsideOpenHemisphere,
-    ZeroVector,
-)
-from sphsep.geometry import ToleranceConfig, central_unproject, normalize, orthonormal_frame
+from sphsep.separation import _fatten
 
 from .conftest import GOLDEN_DIR
 from .oracles import dedupe_rows_oracle, hull_member_oracle
@@ -235,56 +228,24 @@ def test_cap_body_gets_its_generator_sum_without_an_lp(solve_sites):
     assert solve_sites == []
 
 
-def test_project_body_known_coordinates():
-    body = SphericalBody(np.array([[0.0, 0.0, 1.0], [0.0, S, S]]))
-    frame = orthonormal_frame(np.array([0.0, 0.0, 1.0]))
-    poly = project_body(body, frame)
-    assert poly.vertices.shape[0] == 2
-    assert np.allclose(poly.vertices, [[0.0, 0.0], [0.0, 1.0]])
-
-
-def test_project_body_requires_open_hemisphere():
-    body = SphericalBody(np.array([[1.0, 0.0, 0.0]]))
-    frame = orthonormal_frame(np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(OutsideOpenHemisphere):
-        project_body(body, frame)
-
-
 def test_fatten_single_vertex_cross_polytope():
-    frame = orthonormal_frame(np.array([0.0, 0.0, 1.0]))
-    poly = TangentPolytope(frame=frame, vertices=np.zeros((1, 2)))
-    fat = fatten(poly, 1.0)
-    assert np.allclose(
-        fat.vertices, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
-    )
-
-
-def test_fatten_zero_radius_is_identity():
-    frame = orthonormal_frame(np.array([0.0, 0.0, 1.0]))
-    poly = TangentPolytope(frame=frame, vertices=np.array([[0.5, -0.5]]))
-    assert fatten(poly, 0.0) is poly
-
-
-def test_fatten_rejects_negative_radius():
-    frame = orthonormal_frame(np.array([0.0, 0.0, 1.0]))
-    poly = TangentPolytope(frame=frame, vertices=np.zeros((1, 2)))
-    with pytest.raises(NegativeEpsilon):
-        fatten(poly, -0.1)
+    fat = _fatten(np.zeros((1, 2)), 1.0)
+    assert np.allclose(fat, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
 def test_fatten_originals_become_interior():
     rng = np.random.default_rng(17)
-    frame = orthonormal_frame(normalize(rng.standard_normal(4)))
-    poly = TangentPolytope(frame=frame, vertices=rng.standard_normal((5, 3)))
+    rng.standard_normal(4)  # unused draw: x stays the sample this test was written for
+    x = rng.standard_normal((5, 3))
     eps = 0.1
-    fat = fatten(poly, eps)
-    assert fat.vertices.shape[0] == 5 * 6
-    for v in poly.vertices:
+    fat = _fatten(x, eps)
+    assert fat.shape[0] == 5 * 6
+    for v in x:
         for k in range(3):
             for sign in (1.0, -1.0):
                 probe = v.copy()
                 probe[k] += sign * 0.9 * eps
-                assert hull_member_oracle(fat.vertices, probe, tol=1e-8)
+                assert hull_member_oracle(fat, probe, tol=1e-8)
 
 
 def test_pullback_inverts_projection():
@@ -292,17 +253,18 @@ def test_pullback_inverts_projection():
     center = normalize(rng.standard_normal(4))
     body = cap_body(rng, center, 6)
     frame = orthonormal_frame(center)
-    back = pullback(project_body(body, frame))
+    back = SphericalBody(central_unproject(frame, central_project(frame, body.generators)))
     assert back.generators.shape == body.generators.shape
     assert np.max(np.abs(back.generators - body.generators)) < 1e-12
 
 
 def test_pullback_matches_per_vertex_unprojection():
+    # the proof path's fattened body: project, _fatten, unproject the matrix
     rng = np.random.default_rng(29)
     center = normalize(rng.standard_normal(5))
     frame = orthonormal_frame(center)
-    poly = fatten(project_body(cap_body(rng, center, 7), frame), 0.05)
-    back = pullback(poly)
-    ref = np.array([central_unproject(frame, x) for x in poly.vertices])
+    fat = _fatten(central_project(frame, cap_body(rng, center, 7).generators), 0.05)
+    back = SphericalBody(central_unproject(frame, fat))
+    ref = np.array([central_unproject(frame, x) for x in fat])
     assert back.generators.shape == ref.shape
     assert np.max(np.abs(back.generators - ref)) < 1e-15

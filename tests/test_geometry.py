@@ -74,6 +74,8 @@ def test_tolerance_config_has_three_fields():
         "offset_tol",
         "max_iter",
     ]
+    # the pivot budget is derived, not a fourth setting
+    assert ToleranceConfig(max_iter=3).max_pivots == 300
 
 
 @pytest.mark.parametrize("max_iter", [1.5, 2.0])

@@ -26,7 +26,6 @@ from sphsep.geometry import ToleranceConfig, normalize
 from sphsep.harness import InstanceSpec, Mode, _cap_body, generate
 from sphsep.lp import _TOL, LE, LpStatus, solve
 from sphsep.separation import (
-    Hyperplane,
     SeparationCertificate,
     _HullRows,
     _carried_hyperplane,
@@ -61,11 +60,6 @@ S = 1.0 / np.sqrt(2.0)
 def disjoint_pair(seed, dim=2, k1=3, k2=3):
     spec = InstanceSpec(dimension=dim, k1=k1, k2=k2, seed=seed, mode=Mode.FORCE_DISJOINT)
     return generate(spec)
-
-
-def test_hyperplane_requires_unit_normal():
-    with pytest.raises(DimensionMismatch):
-        Hyperplane(normal=np.array([1.0, 1.0]), offset=0.0)
 
 
 def test_primal_disjoint_singletons():
