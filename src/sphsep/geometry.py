@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ __all__ = [
 # Norm at or below which a vector counts as zero, and the max-norm distance
 # within which two generators count as one.
 _UNIT_TOL = 1e-12
-# Construction-time sanity tolerance for unit/orthonormality checks.
+# Construction-time sanity tolerance for unit-length checks.
 # Looser than _UNIT_TOL so hand-written literals pass.
 _SHAPE_TOL = 1e-9
 
@@ -123,35 +124,16 @@ def normalize(v) -> np.ndarray:
     return arr / nrm
 
 
-@dataclass(frozen=True)
-class TangentFrame:
-    """Orthonormal basis of the tangent space of S^n at ``base``.
+class TangentFrame(NamedTuple):
+    """Orthonormal basis of the tangent space of S^n at ``base``, built by
+    orthonormal_frame only.
 
     ``basis`` has shape (n, n+1); its rows are pairwise orthonormal and
-    orthogonal to ``base``.
+    orthogonal to ``base``.  Both arrays are read-only copies.
     """
 
     base: np.ndarray
     basis: np.ndarray
-
-    def __post_init__(self) -> None:
-        base = _as_float_array(self.base, "base").copy()
-        basis = np.array(self.basis, dtype=float)
-        if basis.ndim != 2 or basis.shape != (base.size - 1, base.size):
-            raise ValueError(
-                f"basis must have shape ({base.size - 1}, {base.size}), got {basis.shape}"
-            )
-        if abs(_norm(base) - 1.0) > _SHAPE_TOL:
-            raise ValueError("base point is not unit length")
-        gram = basis @ basis.T
-        if np.abs(gram - np.eye(basis.shape[0])).max() > _SHAPE_TOL:
-            raise ValueError("basis rows are not orthonormal")
-        if np.abs(basis @ base).max() > _SHAPE_TOL:
-            raise ValueError("basis rows are not orthogonal to base")
-        base.flags.writeable = False
-        basis.flags.writeable = False
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "basis", basis)
 
     @property
     def n(self) -> int:
@@ -165,15 +147,20 @@ def orthonormal_frame(base) -> TangentFrame:
     One QR of the columns [base, e_j for each axis j but the one most
     parallel to base], Q's columns signed by diag(R): the Gram-Schmidt frame
     of those axes, so the same base always yields the same frame.  A base
-    that is not unit length fails TangentFrame's checks (ValueError).
+    that is not unit length raises ValueError.
     """
     b = _as_float_array(base, "base")
+    if abs(_norm(b) - 1.0) > _SHAPE_TOL:
+        raise ValueError("base point is not unit length")
     cols = np.zeros((b.size, b.size))
     cols[:, 0] = b
     axis = np.arange(b.size - 1)  # column 1 + i is e_i, e_{i+1} past the skipped axis
     cols[axis + (axis >= np.abs(b).argmax()), axis + 1] = 1.0
     q, r = np.linalg.qr(cols)
-    return TangentFrame(base=b, basis=(q * np.sign(np.diag(r)))[:, 1:].T)
+    # np.array keeps the transposed layout; projection bits depend on it
+    frame = TangentFrame(b.copy(), np.array((q * np.sign(np.diag(r)))[:, 1:].T, dtype=float))
+    frame.base.flags.writeable = frame.basis.flags.writeable = False
+    return frame
 
 
 def central_project(

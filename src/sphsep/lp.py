@@ -32,6 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, IterationLimit
+from .geometry import DEFAULT_CONFIG
 
 __all__ = [
     "LE",
@@ -207,7 +208,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, budget: _PivotBudget) -> int 
         budget.spend()
 
 
-def solve(lp: LinearProgram, max_pivots: int = 20_000) -> LpOutcome:
+def solve(lp: LinearProgram, max_pivots: int = DEFAULT_CONFIG.max_pivots) -> LpOutcome:
     """Solve ``lp`` by two-phase simplex.
 
     Optimal outcomes are feasible within _TOL (1e-10); infeasibility means

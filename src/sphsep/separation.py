@@ -12,7 +12,9 @@ route:
   * proof_path_witness  -- constructive route: project to tangent planes,
                            widen by a cross-polytope, unproject, separate the
                            Euclidean hulls by a hyperplane, and contract its
-                           offset to zero
+                           offset to zero; one routine,
+                           _separating_hyperplane_contracted, finds the
+                           hyperplane of every round
   * wedge_openness_probe -- perturbation check that the wedge is open
 
 The proof-path route never consults dual_witness, which makes the two
@@ -62,7 +64,8 @@ __all__ = [
 
 class Hyperplane(NamedTuple):
     """The set {x : normal . x = offset}, with unit normal: what one hull
-    separation of the proof path finds (built by _hyperplane only)."""
+    separation of the proof path finds (built by
+    _separating_hyperplane_contracted only)."""
 
     normal: np.ndarray
     offset: float
@@ -104,9 +107,9 @@ class ProofTrace:
     offsets are the strictly decreasing |offset| of the separating
     hyperplanes, the first from the separation at sigma = 1 and one more per
     contraction round, ending below offset_tol; iterations counts the
-    contraction rounds.  The offset of a round that a certified earlier
-    optimum carries is computed from that optimum, not solved again (see
-    _separating_hyperplane_contracted).
+    contraction rounds.  Every offset comes from
+    _separating_hyperplane_contracted; a round that a certified earlier
+    optimum carries reads it off that optimum and solves no LP.
     """
 
     epsilon0: float
@@ -317,7 +320,7 @@ class _HullRows:
 
     ``carried`` is None until _separating_hyperplane_contracted certifies
     its optimum for every smaller sigma; it then holds (sigma, x), and
-    later rounds read their hyperplane off x (_carried_hyperplane).
+    the routine answers every later round up to that sigma off x.
     """
 
     def __init__(self, v1: np.ndarray, v2: np.ndarray, toward: np.ndarray | None = None):
@@ -369,36 +372,6 @@ class _HullRows:
         rows[k:, :d] = u2
         rows[k:, d + 1] = -1.0
         return _split(rows)
-
-
-def _hyperplane(x: np.ndarray, sigma: float) -> tuple[Hyperplane, float]:
-    """The unit-normal hyperplane and geometric slack of a point
-    x = (P, a, b, alpha, beta, tau) of the contracted separation LP at sigma:
-    t = sigma tau and r = (max(beta + t, -1) + min(alpha - t, 1)) / 2,
-    rescaled by |P|."""
-    d = x.size - 5
-    p, alpha, beta = x[:d], x[d + 2], x[d + 3]
-    t = sigma * x[d + 4]
-    r = (max(beta + t, -1.0) + min(alpha - t, 1.0)) / 2.0
-    nrm = _norm(p)
-    if nrm <= _TOL:
-        raise ContractionStalled("degenerate zero normal in hull separation")
-    return Hyperplane(p / nrm, float(r / nrm)), t / nrm
-
-
-def _carried_hyperplane(hull: _HullRows, sigma: float) -> tuple[Hyperplane, float] | None:
-    """The separation at sigma read off hull.carried without an LP, or None
-    when nothing is carried or sigma exceeds the sigma it was certified at.
-
-    The carried optimum (P, a, b, tau) stays optimal at every smaller
-    sigma with alpha = sigma a and beta = sigma b; see
-    _separating_hyperplane_contracted."""
-    if hull.carried is None or sigma > hull.carried[0]:
-        return None
-    x = hull.carried[1].copy()
-    d = x.size - 5
-    x[d + 2], x[d + 3] = sigma * x[d], sigma * x[d + 1]
-    return _hyperplane(x, sigma)
 
 
 def _separating_hyperplane_contracted(
@@ -458,54 +431,64 @@ def _separating_hyperplane_contracted(
     columns alpha, beta, tau for the other cap duals (those of
     alpha <= sigma' a, sigma' b <= beta and 2 sigma' tau <= alpha - beta
     become 1 / (2 sigma')).  That dual is feasible with the same objective.
-    Such an optimum is stored as ``hull.carried``, which the proof path
-    reads instead of solving again.
+    Such an optimum is stored as ``hull.carried``.  A later call whose
+    sigma it covers solves no LP: it takes x = (P, a, b, sigma a, sigma b,
+    tau) from the stored optimum, and its hyperplane is decoded as a
+    solved one is.
     """
     d = hull.v1.shape[1]
     # variables: P_1..P_d, a, b, alpha, beta, tau
     ia, ib, ial, ibe, itau = range(d, d + 5)
-    caps = np.zeros((7, d + 5))
-    caps[0, [ial, ia]] = 1.0, -1.0  # alpha <= a
-    caps[1, [ial, ia]] = 1.0, -sigma  # alpha <= sigma a
-    caps[2, [ib, ibe]] = 1.0, -1.0  # b <= beta
-    caps[3, [ib, ibe]] = sigma, -1.0  # sigma b <= beta
-    caps[4, [itau, ial, ibe]] = 2.0 * sigma, -1.0, 1.0  # 2t <= alpha - beta
-    caps[5, [itau, ial]] = sigma, -1.0  # t <= alpha + 1   (r >= -1)
-    caps[6, [itau, ibe]] = sigma, 1.0  # t <= 1 - beta    (r <= 1)
-    # the caps and then the box rows follow the working rows
-    tail = np.vstack([_split(caps), hull.box])
-    tail_rhs = np.concatenate([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0], np.ones(2 * d)])
-    budget = left = cfg.max_pivots
-    while True:
-        work = hull.working_rows()
-        n = work.shape[0]
-        rhs = np.concatenate([np.zeros(n), tail_rhs])
-        lp = LinearProgram(hull.objective, np.vstack([work, tail]), LE, rhs)
-        try:
-            out = solve(lp, max_pivots=left)
-        except IterationLimit as exc:
-            raise IterationLimit(
-                f"hull separation row generation, {budget - left} of {budget} "
-                f"pivots spent before this solve: {exc}"
-            ) from exc
-        left -= out.pivots
-        # every relaxation is feasible (tau is free) and bounded (by the
-        # box and one row per body), so not optimal is a numerical breakdown
-        if out.status is not LpStatus.OPTIMAL:
-            break
-        # no X entry is -0.0, so no difference is either
-        x = out.solution[0::2] - out.solution[1::2]
-        if not hull.add_violated(x):
-            break
-    if out.status is not LpStatus.OPTIMAL or x[itau] <= _TOL:
-        raise ContractionStalled(
-            "contracted hull separation LP found no positive slack"
-        )
-    found = _hyperplane(x, sigma)
-    # the box caps, caps 5 and 6, are rows n + 5 and n + 6
-    if x[ia] >= 0.0 >= x[ib] and out.duals[n + 5 : n + 7].max() <= _TOL:
-        hull.carried = (sigma, x)
-    return found
+    if hull.carried is not None and sigma <= hull.carried[0]:
+        x = hull.carried[1].copy()
+        x[ial], x[ibe] = sigma * x[ia], sigma * x[ib]
+    else:
+        caps = np.zeros((7, d + 5))
+        caps[0, [ial, ia]] = 1.0, -1.0  # alpha <= a
+        caps[1, [ial, ia]] = 1.0, -sigma  # alpha <= sigma a
+        caps[2, [ib, ibe]] = 1.0, -1.0  # b <= beta
+        caps[3, [ib, ibe]] = sigma, -1.0  # sigma b <= beta
+        caps[4, [itau, ial, ibe]] = 2.0 * sigma, -1.0, 1.0  # 2t <= alpha - beta
+        caps[5, [itau, ial]] = sigma, -1.0  # t <= alpha + 1   (r >= -1)
+        caps[6, [itau, ibe]] = sigma, 1.0  # t <= 1 - beta    (r <= 1)
+        tail = np.vstack([_split(caps), hull.box])
+        tail_rhs = np.concatenate([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0], np.ones(2 * d)])
+        budget = left = cfg.max_pivots
+        while True:
+            work = hull.working_rows()
+            n = work.shape[0]
+            # the n working rows, then the seven caps, then the box rows
+            box_caps = slice(n + 5, n + 7)  # caps 5 and 6
+            rhs = np.concatenate([np.zeros(n), tail_rhs])
+            lp = LinearProgram(hull.objective, np.vstack([work, tail]), LE, rhs)
+            try:
+                out = solve(lp, max_pivots=left)
+            except IterationLimit as exc:
+                raise IterationLimit(
+                    f"hull separation row generation, {budget - left} of {budget} "
+                    f"pivots spent before this solve: {exc}"
+                ) from exc
+            left -= out.pivots
+            # every relaxation is feasible (tau is free) and bounded (by the
+            # box and one row per body), so not optimal is a numerical breakdown
+            if out.status is not LpStatus.OPTIMAL:
+                break
+            # no X entry is -0.0, so no difference is either
+            x = out.solution[0::2] - out.solution[1::2]
+            if not hull.add_violated(x):
+                break
+        if out.status is not LpStatus.OPTIMAL or x[itau] <= _TOL:
+            raise ContractionStalled(
+                "contracted hull separation LP found no positive slack"
+            )
+        if x[ia] >= 0.0 >= x[ib] and out.duals[box_caps].max() <= _TOL:
+            hull.carried = (sigma, x)
+    t = sigma * x[itau]
+    r = (max(x[ibe] + t, -1.0) + min(x[ial] - t, 1.0)) / 2.0
+    nrm = _norm(x[:d])
+    if nrm <= _TOL:
+        raise ContractionStalled("degenerate zero normal in hull separation")
+    return Hyperplane(x[:d] / nrm, float(r / nrm)), t / nrm
 
 
 def _fatten(x: np.ndarray, eps: float) -> np.ndarray:
@@ -541,9 +524,10 @@ def proof_path_witness(
     strict member of the witness wedge of the original bodies
     (wedge_membership): adjoin a contracted copy of each vertex set
     (factor = current offset magnitude) and re-separate; the offset
-    strictly decreases each round.  Once a separation's optimum is
-    certified for every smaller factor, each later round reads its
-    hyperplane off it (_carried_hyperplane) and solves no LP.  (5) The
+    strictly decreases each round.  Every separation is one call of
+    _separating_hyperplane_contracted; once a separation's optimum is
+    certified for every smaller factor, each later call reads its
+    hyperplane off it and solves no LP.  (5) The
     final normal, oriented toward body 1 by construction, is the witness.
 
     The contracted copies compose: round k's vertex set is V0 together with
@@ -616,9 +600,7 @@ def proof_path_witness(
                 f"contraction rounds; offset is {prev:.3e}{why}"
             )
         sigma = max(sigma * prev, sigma_floor)
-        hyp, _ = _carried_hyperplane(hull, sigma) or _separating_hyperplane_contracted(
-            hull, sigma, cfg
-        )
+        hyp, _ = _separating_hyperplane_contracted(hull, sigma, cfg)
         if abs(hyp.offset) >= prev * (1.0 - _TOL):
             raise ContractionStalled(
                 f"offset magnitude stalled at {prev:.3e}{why} after "

@@ -11,7 +11,6 @@ import sphsep.geometry
 from sphsep.errors import OutsideOpenHemisphere, ZeroVector
 from sphsep.geometry import (
     DEFAULT_CONFIG,
-    TangentFrame,
     ToleranceConfig,
     _norm,
     central_project,
@@ -139,9 +138,7 @@ def test_frame_does_not_freeze_the_callers_arrays():
     base = np.array([0.0, 0.0, 1.0])
     frame = orthonormal_frame(base)
     assert base.flags.writeable
-    basis = np.array(frame.basis)
-    TangentFrame(base=base, basis=basis)
-    base[0] = basis[0, 0] = 0.5  # the caller's arrays stay theirs to change
+    base[0] = 0.5  # the caller's array stays theirs to change
     assert frame.base[0] == 0.0
 
 
@@ -164,14 +161,6 @@ def test_frame_orthonormality_property(base):
 def test_frame_rejects_non_unit_base():
     with pytest.raises(ValueError):
         orthonormal_frame(np.array([1.0, 1.0]))
-
-
-def test_tangent_frame_validates_shapes():
-    base = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        TangentFrame(base=base, basis=np.eye(3))  # wrong row count
-    with pytest.raises(ValueError):
-        TangentFrame(base=base, basis=np.array([[1.0, 0, 0], [1.0, 0, 0]]))
 
 
 def test_frame_arrays_are_frozen():

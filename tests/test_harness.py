@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from sphsep.harness import (
 from sphsep.lp import LpStatus, solve
 from sphsep.separation import primal_intersect, proof_path_witness, wedge_membership
 
+from .conftest import GOLDEN_DIR
 from .oracles import lp_residual
 
 
@@ -31,10 +33,6 @@ def test_instance_spec_validation():
         InstanceSpec(dimension=0, k1=1, k2=1, seed=0)
     with pytest.raises(GenerationFailed):
         InstanceSpec(dimension=2, k1=0, k2=1, seed=0)
-    with pytest.raises(GenerationFailed):
-        InstanceSpec(dimension=2, k1=1, k2=1, seed=0, spread=0.0)
-    with pytest.raises(GenerationFailed):
-        InstanceSpec(dimension=2, k1=1, k2=1, seed=0, spread=2.0)
 
 
 def test_generate_deterministic():
@@ -317,3 +315,22 @@ def test_report_counts_are_plain_ints():
     doc = run_equivalence_campaign(4, [1], [1], seed=3).to_dict()
     for key in ("instances", "agreements", "ambiguous", "disagreements"):
         assert type(doc[key]) is int
+
+
+def test_golden_instances_regenerate_byte_for_byte():
+    # scripts/make_goldens.py derives every instance of the golden corpus
+    # from a seed; regenerated in process, each must match its stored file
+    # byte for byte and its manifest entry field for field
+    path = GOLDEN_DIR.parents[1] / "scripts" / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", path)
+    goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(goldens)
+    manifest = json.loads((GOLDEN_DIR / "manifest.json").read_text())
+    entries = manifest["core"] + manifest["extra"]
+    stored = sorted((GOLDEN_DIR / "instances").glob("*.json"))
+    assert len(entries) == len(stored) == goldens.CORE_COUNT + goldens.EXTRA_COUNT == 50
+    for i, (entry, inst) in enumerate(zip(entries, stored)):
+        doc, meta = goldens.instance_doc(i)
+        assert inst.name == f"{entry['name']}.json" == f"inst_{i:02d}.json"
+        assert (json.dumps(doc, indent=2) + "\n").encode() == inst.read_bytes(), inst.name
+        assert {k: entry[k] for k in meta} == meta, inst.name

@@ -28,7 +28,6 @@ from sphsep.lp import _TOL, LE, LpStatus, solve
 from sphsep.separation import (
     SeparationCertificate,
     _HullRows,
-    _carried_hyperplane,
     _pole_difference,
     _separating_hyperplane_contracted,
     dual_witness,
@@ -464,7 +463,8 @@ def test_row_generation_reaches_full_lp_optimum(monkeypatch, n):
     # carried across sigma, must end at an optimum of the LP with every
     # vertex row, and at the max-slack separation of the materialized unions
     # v u sigma v.  Vertex enumeration cannot reach programs this size, so
-    # optimality is certified by LP duality.
+    # optimality is certified by LP duality.  A carried optimum is cleared
+    # before each sigma, so that every sigma is solved.
     with monkeypatch.context() as mp:
         v1, v2 = _proof_path_vertices(mp, n, 24)
     assert v1.shape[0] == v2.shape[0] == 24 * 2 * n
@@ -478,6 +478,7 @@ def test_row_generation_reaches_full_lp_optimum(monkeypatch, n):
             solves.append((lp, out))
             return out
 
+        hull.carried = None
         with monkeypatch.context() as mp:
             mp.setattr(sphsep.separation, "solve", spy)
             hyp, slack = _separating_hyperplane_contracted(hull, sigma, cfg)
@@ -536,21 +537,39 @@ def test_hull_solves_see_a_few_dozen_rows(monkeypatch):
     assert max(rows) <= 48, rows
 
 
+def test_proof_path_lps_come_from_two_call_sites(solve_sites):
+    # LPs are attributed to the function that calls lp.solve (the solve_sites
+    # fixture here, the benchmark's tracer by the same rule): every LP of a
+    # proof path is the fattening search's cone LP or a hull separation
+    for n in (1, 2, 3, 5):
+        b1, b2 = generate(InstanceSpec(dimension=n, k1=6, k2=6, seed=11, mode=Mode.FORCE_DISJOINT))
+        solve_sites.clear()
+        proof_path_witness(b1, b2)
+        assert "_separating_hyperplane_contracted" in solve_sites, n
+        assert set(solve_sites) <= {"primal_intersect", "_separating_hyperplane_contracted"}, n
+
+
+def _covers(hull, sigma):
+    """Does the optimum carried by ``hull`` answer a separation at sigma?"""
+    return hull.carried is not None and sigma <= hull.carried[0]
+
+
 def _carried_rounds(monkeypatch, b1, b2, cfg):
     """Every contraction round of the proof path on (b1, b2) that is read
     off a carried optimum, as (a copy of the hull that round saw, sigma,
     the hyperplane it got)."""
     seen = []
-    carried = sphsep.separation._carried_hyperplane
+    separate = sphsep.separation._separating_hyperplane_contracted
 
-    def spy(hull, sigma):
-        got = carried(hull, sigma)
-        if got is not None:
-            seen.append((copy.deepcopy(hull), sigma, got[0]))
+    def spy(hull, sigma, cfg):
+        before = copy.deepcopy(hull) if _covers(hull, sigma) else None
+        got = separate(hull, sigma, cfg)
+        if before is not None:
+            seen.append((before, sigma, got[0]))
         return got
 
     with monkeypatch.context() as mp:
-        mp.setattr(sphsep.separation, "_carried_hyperplane", spy)
+        mp.setattr(sphsep.separation, "_separating_hyperplane_contracted", spy)
         proof_path_witness(b1, b2, cfg)
     return seen
 
@@ -558,7 +577,8 @@ def _carried_rounds(monkeypatch, b1, b2, cfg):
 def _assert_carried_rounds_are_optima(monkeypatch, seen, cfg):
     # The carried point (P, a, b, sigma a, sigma b, tau) must be an optimum
     # of the round's LP with every vertex row, certified by LP duality, and
-    # re-solving the round must give the same hyperplane.  Optimality is
+    # re-solving the round, with the carried optimum cleared so that it is
+    # solved, must give the same hyperplane.  Optimality is
     # checked in t = sigma tau: the same LP with its tau column scaled by
     # sigma, which moves no optimum.  In tau the cap duals are 1 / (2 sigma),
     # 5e6 at the floor sigma = 1e-7, past what the nonnegative least-squares
@@ -569,6 +589,7 @@ def _assert_carried_rounds_are_optima(monkeypatch, seen, cfg):
         assert sigma <= sigma0 and x[d] >= 0.0 >= x[d + 1]
         point = x.copy()
         point[d + 2], point[d + 3], point[d + 4] = sigma * x[d], sigma * x[d + 1], sigma * x[d + 4]
+        hull.carried = None
         solves = []
 
         def spy(lp, *args, **kwargs):
@@ -644,10 +665,10 @@ def test_one_sided_optimum_is_solved_again(monkeypatch, c1, c2):
         _separating_hyperplane_contracted(hull, 1.0, cfg)
         lp, out = solved[-1]
         _separating_hyperplane_contracted(hull, 0.5, cfg)
+    assert hull.carried is None and solved[-1][0] is not lp
     x = _unsplit(out.solution)
     box_caps = out.duals[_caps(lp)][5:]
     assert np.max(box_caps) <= _TOL and not x[2] >= 0.0 >= x[3]
-    assert hull.carried is None and _carried_hyperplane(hull, 0.5) is None
     point = x.copy()
     point[4], point[5] = 0.5 * x[2], 0.5 * x[3]
     assert lp_residual(_hull_program(lp), point) > 0.05
@@ -667,17 +688,30 @@ def test_box_capped_optimum_is_solved_again():
     assert np.max(np.abs(half.normal - hyp.normal)) > 0.05
 
 
-def test_straddling_optimum_carries_to_smaller_sigma():
+def test_straddling_optimum_carries_to_smaller_sigma(monkeypatch):
     # hulls on opposite sides of the origin with slack box caps: the
-    # sigma = 1 optimum is carried, and the hyperplane read off it at
-    # sigma = 0.5 is the one a solve on a fresh hull finds
+    # sigma = 1 optimum is carried, the separation at sigma = 0.5 is read
+    # off it without an LP and is the one a solve on a fresh hull finds,
+    # while a larger sigma, which the carried optimum does not cover, is
+    # solved
     cfg = ToleranceConfig()
+    solved = []
+
+    def spy(lp, *args, **kwargs):
+        solved.append(lp)
+        return solve(lp, *args, **kwargs)
+
     for seed in (3, 9):
         hull = _union_hull(seed, (3.0, 0.0), (-3.0, 1.0))
         _separating_hyperplane_contracted(hull, 1.0, cfg)
         assert hull.carried is not None and hull.carried[0] == 1.0
-        assert _carried_hyperplane(hull, 1.5) is None
-        hyp, slack = _carried_hyperplane(hull, 0.5)
+        with monkeypatch.context() as mp:
+            mp.setattr(sphsep.separation, "solve", spy)
+            hyp, slack = _separating_hyperplane_contracted(hull, 0.5, cfg)
+            assert not solved
+            _separating_hyperplane_contracted(copy.deepcopy(hull), 1.5, cfg)
+            assert solved
+            solved.clear()
         want, want_slack = _separating_hyperplane_contracted(
             _union_hull(seed, (3.0, 0.0), (-3.0, 1.0)), 0.5, cfg
         )
@@ -698,22 +732,17 @@ def test_rounds_after_the_certified_round_solve_no_lp(monkeypatch):
     separate = sphsep.separation._separating_hyperplane_contracted
 
     def separate_spy(hull, sigma, cfg):
+        covered = _covers(hull, sigma)
         got = separate(hull, sigma, cfg)
-        events.append("solved" if hull.carried is None else "certified")
-        return got
-
-    carried = sphsep.separation._carried_hyperplane
-
-    def carried_spy(hull, sigma):
-        got = carried(hull, sigma)
-        if got is not None:
+        if covered:
             events.append("carried")
+        else:
+            events.append("solved" if hull.carried is None else "certified")
         return got
 
     for module in (sphsep.convexity, sphsep.separation):
         monkeypatch.setattr(module, "solve", solve_spy)
     monkeypatch.setattr(sphsep.separation, "_separating_hyperplane_contracted", separate_spy)
-    monkeypatch.setattr(sphsep.separation, "_carried_hyperplane", carried_spy)
     b1, b2 = generate(InstanceSpec(dimension=8, k1=24, k2=24, seed=11, mode=Mode.FORCE_DISJOINT))
     cert, trace = proof_path_witness(b1, b2)
     assert cert.margin > 0 and trace.iterations >= 1
