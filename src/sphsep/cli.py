@@ -16,14 +16,15 @@ a non-finite norm, read as it is within 1e-12 of unit norm, else normalized
 with a note on stderr.  Result documents are emitted to stdout with fixed key
 order so identical inputs produce identical bytes; timing goes to stderr.
 
-Exit codes (stable):
+Exit codes (stable); main maps _InputError, _RouteFailed and plot's
+errors to theirs, while check and witness report ambiguity as a document:
   0  disjoint / campaign clean / scene written
   1  campaign found disagreements
   2  intersecting
   3  ambiguous within tolerances, semantically invalid bodies
      (not hemispherical), or the simplex pivot budget ran out
   4  malformed input file (including an unknown, non-finite or boolean
-     tolerance), bad flags, or unsupported dimension for plot
+     tolerance), bad flags, or a non-S^2 or unwritable plot
   5  constructive witness route failed (fattening search, offset
      contraction, or the pivot budget inside it)
 """
@@ -64,7 +65,11 @@ _BOUNDARY_SAMPLES = 128
 
 
 class _InputError(Exception):
-    """Malformed instance file; message carries the offending key."""
+    """Malformed instance file or flags; main exits 4 with its message."""
+
+
+class _RouteFailed(Exception):
+    """The constructive witness route gave up; main exits 5 with its message."""
 
 
 def _coords(vec: np.ndarray) -> list[float]:
@@ -150,9 +155,7 @@ def _load_instance(path: str, args) -> tuple[SphericalBody, SphericalBody, Toler
     if type(n) is not int or n < 1:
         raise _InputError('"n" must be an integer >= 1')
     cfg = _tolerances_from(data, args)
-    b1 = _body_from(data, "w1", n)
-    b2 = _body_from(data, "w2", n)
-    return b1, b2, cfg
+    return _body_from(data, "w1", n), _body_from(data, "w2", n), cfg
 
 
 def _intersection_doc(inter) -> dict:
@@ -164,71 +167,54 @@ def _intersection_doc(inter) -> dict:
     }
 
 
-def _cmd_check(args) -> int:
-    try:
-        b1, b2, cfg = _load_instance(args.instance, args)
-    except _InputError as exc:
-        return _fail(str(exc), 4)
-    try:
-        inter = primal_intersect(b1, b2, cfg)
-    except (NotHemispherical, IterationLimit) as exc:
-        _emit({"status": "ambiguous", "reason": str(exc)})
-        return 3
+def _check_route(b1, b2, cfg) -> tuple[dict, int]:
+    inter = primal_intersect(b1, b2, cfg)
     if inter is None:
-        _emit({"status": "disjoint"})
-        return 0
-    _emit(_intersection_doc(inter))
-    return 2
+        return {"status": "disjoint"}, 0
+    return _intersection_doc(inter), 2
 
 
-def _cmd_witness(args) -> int:
+def _pole_doc(cert) -> dict:
+    return {"status": "disjoint", "witness": _coords(cert.witness), "margin": float(cert.margin)}
+
+
+def _lp_route(b1, b2, cfg) -> tuple[dict, int]:
+    cert = dual_witness(b1, b2, cfg)
+    if cert.kind == "intersecting":
+        return _intersection_doc(cert), 2
+    return _pole_doc(cert), 0
+
+
+def _proof_path_route(b1, b2, cfg) -> tuple[dict, int]:
+    """Settle intersection by the cone LP first, then construct."""
+    inter = primal_intersect(b1, b2, cfg)
+    if inter is not None:
+        return _intersection_doc(inter), 2
     try:
-        b1, b2, cfg = _load_instance(args.instance, args)
-    except _InputError as exc:
-        return _fail(str(exc), 4)
+        cert, trace = proof_path_witness(b1, b2, cfg)
+    except (EpsilonSearchFailed, ContractionStalled, IterationLimit) as exc:
+        raise _RouteFailed(f"constructive witness route failed: {exc}") from exc
+    doc = _pole_doc(cert)
+    doc["trace"] = {
+        "epsilon0": float(trace.epsilon0),
+        "offsets": [float(o) for o in trace.offsets],
+        "iterations": trace.iterations,
+    }
+    return doc, 0
+
+
+_ROUTES = {"check": _check_route, "lp": _lp_route, "proof-path": _proof_path_route}
+
+
+def _cmd_query(args) -> int:
+    """check and witness: one route's document, or the ambiguous one."""
+    b1, b2, cfg = _load_instance(args.instance, args)
     try:
-        if args.method == "lp":
-            try:
-                cert = dual_witness(b1, b2, cfg)
-            except NumericallyAmbiguous as exc:
-                _emit({"status": "ambiguous", "reason": str(exc)})
-                return 3
-            if cert.kind == "intersecting":
-                _emit(_intersection_doc(cert))
-                return 2
-            _emit(
-                {
-                    "status": "disjoint",
-                    "witness": _coords(cert.witness),
-                    "margin": float(cert.margin),
-                }
-            )
-            return 0
-        # proof-path route: settle intersection first, then construct
-        inter = primal_intersect(b1, b2, cfg)
-        if inter is not None:
-            _emit(_intersection_doc(inter))
-            return 2
-        try:
-            cert, trace = proof_path_witness(b1, b2, cfg)
-        except (EpsilonSearchFailed, ContractionStalled, IterationLimit) as exc:
-            return _fail(f"constructive witness route failed: {exc}", 5)
-        _emit(
-            {
-                "status": "disjoint",
-                "witness": _coords(cert.witness),
-                "margin": float(cert.margin),
-                "trace": {
-                    "epsilon0": float(trace.epsilon0),
-                    "offsets": [float(o) for o in trace.offsets],
-                    "iterations": trace.iterations,
-                },
-            }
-        )
-        return 0
-    except (NotHemispherical, IterationLimit) as exc:
-        _emit({"status": "ambiguous", "reason": str(exc)})
-        return 3
+        doc, code = _ROUTES[args.method](b1, b2, cfg)
+    except (NotHemispherical, IterationLimit, NumericallyAmbiguous) as exc:
+        doc, code = {"status": "ambiguous", "reason": str(exc)}, 3
+    _emit(doc)
+    return code
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -254,29 +240,24 @@ def _parse_int_list(text: str, what: str) -> list[int]:
                 raise _InputError(f"bad {what} entry {token!r}")
     if not out:
         raise _InputError(f"no {what} given")
+    if min(out) < 1:
+        raise _InputError(f"{what}s must be >= 1")
     return out
 
 
 def _cmd_fuzz(args) -> int:
-    try:
-        dims = _parse_int_list(args.dims, "dimension")
-        sizes = _parse_int_list(args.sizes, "size")
-        if any(d < 1 for d in dims):
-            raise _InputError("dimensions must be >= 1")
-        if any(s < 1 for s in sizes):
-            raise _InputError("sizes must be >= 1")
-        if args.count < 0:
-            raise _InputError("count must be >= 0")
-        if args.seed < 0:
-            raise _InputError("seed must be >= 0")
-        cfg = _tolerances_from({}, args)
-    except _InputError as exc:
-        return _fail(str(exc), 4)
+    dims = _parse_int_list(args.dims, "dimension")
+    sizes = _parse_int_list(args.sizes, "size")
+    if args.count < 0:
+        raise _InputError("count must be >= 0")
+    if args.seed < 0:
+        raise _InputError("seed must be >= 0")
+    cfg = _tolerances_from({}, args)
     start = time.perf_counter()
     report = run_equivalence_campaign(args.count, dims, sizes, args.seed, cfg)
-    report.wall_time_s = time.perf_counter() - start
+    wall_time_s = time.perf_counter() - start
     _emit(report.to_dict())
-    sys.stderr.write(f"wall time: {report.wall_time_s:.2f}s\n")
+    sys.stderr.write(f"wall time: {wall_time_s:.2f}s\n")
     return 1 if report.disagreements > 0 or report.failures else 0
 
 
@@ -342,36 +323,28 @@ def _body_scene(body: SphericalBody, cfg: ToleranceConfig) -> dict:
 
 
 def _cmd_plot(args) -> int:
-    try:
-        b1, b2, cfg = _load_instance(args.instance, args)
-    except _InputError as exc:
-        return _fail(str(exc), 4)
+    b1, b2, cfg = _load_instance(args.instance, args)
     if b1.n != 2:
-        return _fail(f"plot supports S^2 scenes only, instance is on S^{b1.n}", 4)
+        raise _InputError(f"plot supports S^2 scenes only, instance is on S^{b1.n}")
+    scene = {"bodies": [_body_scene(b1, cfg), _body_scene(b2, cfg)]}
     try:
-        scene = {"bodies": [_body_scene(b1, cfg), _body_scene(b2, cfg)]}
-        try:
-            cert = dual_witness(b1, b2, cfg)
-        except NumericallyAmbiguous:
-            cert = None
-        if cert is not None and cert.kind == "disjoint":
-            w = cert.witness
-            frame = orthonormal_frame(w)
-            u, v = frame.basis
-            boundary = []
-            for i in range(_BOUNDARY_SAMPLES):
-                theta = 2.0 * np.pi * i / _BOUNDARY_SAMPLES
-                boundary.append(_coords(np.cos(theta) * u + np.sin(theta) * v))
-            scene["witness"] = _coords(w)
-            scene["boundary"] = boundary
-    except (NotHemispherical, IterationLimit) as exc:
-        return _fail(str(exc), 3)
+        cert = dual_witness(b1, b2, cfg)
+    except NumericallyAmbiguous:
+        cert = None
+    if cert is not None and cert.kind == "disjoint":
+        u, v = orthonormal_frame(cert.witness).basis
+        boundary = []
+        for i in range(_BOUNDARY_SAMPLES):
+            theta = 2.0 * np.pi * i / _BOUNDARY_SAMPLES
+            boundary.append(_coords(np.cos(theta) * u + np.sin(theta) * v))
+        scene["witness"] = _coords(cert.witness)
+        scene["boundary"] = boundary
     payload = json.dumps(scene, indent=2) + "\n"
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
     except OSError as exc:
-        return _fail(f"cannot write {args.output}: {exc}", 4)
+        raise _InputError(f"cannot write {args.output}: {exc}") from exc
     return 0
 
 
@@ -379,13 +352,11 @@ def _add_tol_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol-margin",
         type=float,
-        default=None,
         help="override the strict-inequality margin tolerance",
     )
     parser.add_argument(
         "--tol-offset",
         type=float,
-        default=None,
         help="override the hyperplane offset convergence tolerance",
     )
 
@@ -411,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     p_check = sub.add_parser("check", help="decide disjointness of the two bodies")
     p_check.add_argument("instance", help="instance JSON file")
     _add_tol_flags(p_check)
-    p_check.set_defaults(func=_cmd_check)
+    p_check.set_defaults(func=_cmd_query, method="check")
 
     p_wit = sub.add_parser("witness", help="compute a separating pole")
     p_wit.add_argument("instance", help="instance JSON file")
@@ -422,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         help="margin-maximizing LP, or the constructive projection/contraction route",
     )
     _add_tol_flags(p_wit)
-    p_wit.set_defaults(func=_cmd_witness)
+    p_wit.set_defaults(func=_cmd_query)
 
     p_fuzz = sub.add_parser("fuzz", help="run the primal/dual equivalence campaign")
     p_fuzz.add_argument("--count", type=int, default=100, help="number of instances")
@@ -439,7 +410,14 @@ def main(argv: list[str] | None = None) -> int:
     p_plot.set_defaults(func=_cmd_plot)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        return _fail(str(exc), 4)
+    except _RouteFailed as exc:
+        return _fail(str(exc), 5)
+    except (NotHemispherical, IterationLimit) as exc:  # plot; queries emit a document
+        return _fail(str(exc), 3)
 
 
 if __name__ == "__main__":

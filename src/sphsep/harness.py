@@ -12,6 +12,7 @@ the master seed, so any recorded failure is replayable from the report.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -61,10 +62,17 @@ class InstanceSpec:
     mode: Mode = Mode.UNCONSTRAINED
 
     def __post_init__(self) -> None:
+        try:
+            for value in (self.dimension, self.k1, self.k2, self.seed):
+                operator.index(value)
+        except TypeError as exc:
+            raise GenerationFailed(f"dimension, k1, k2 and seed must be integers ({exc})") from None
         if self.dimension < 1:
             raise GenerationFailed("dimension must be >= 1")
         if self.k1 < 1 or self.k2 < 1:
             raise GenerationFailed("generator counts must be >= 1")
+        if self.seed < 0:
+            raise GenerationFailed("seed must be >= 0")
 
 
 def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -156,9 +164,8 @@ class CampaignReport:
     instances = agreements + ambiguous + disagreements always holds;
     disagreements must be zero for the oracle equivalence to stand.  checks
     counts passes of the per-disjoint-instance deep checks; every failure
-    carries the instance seed so it can be regenerated.  wall_time_s is
-    filled by the caller and deliberately excluded from to_dict so the
-    emitted report is byte-stable across reruns.
+    carries the instance seed so it can be regenerated.  The report holds
+    no timing, so the emitted document is byte-stable across reruns.
     """
 
     count: int
@@ -175,7 +182,6 @@ class CampaignReport:
         default_factory=lambda: {name: 0 for name in _CHECK_NAMES}
     )
     failures: list[str] = field(default_factory=list)
-    wall_time_s: float | None = None
 
     def to_dict(self) -> dict:
         return {

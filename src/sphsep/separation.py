@@ -573,13 +573,14 @@ def proof_path_witness(
 
     # (4) offset contraction; sigma accumulates the composed factors.  Any
     # separator of the contracted union has |offset| < sigma, so driving
-    # sigma down drives the offset down.  sigma is floored at offset_tol/10:
-    # scales below that add nothing to termination (one floored round
-    # already forces the offset below the floor) while they would push the
-    # LP toward its pivot tolerance.  Membership is tested only once the
-    # offset is below offset_tol; rounds after that squeeze the offset
-    # further in the rare case the margins are not yet strict.
-    sigma_floor = cfg.offset_tol / 10.0
+    # sigma down drives the offset down.  sigma is floored at
+    # min(offset_tol, 1)/10, below the first round's sigma = 1: scales below
+    # that add nothing to termination (one floored round already forces the
+    # offset below the floor) while they would push the LP toward its pivot
+    # tolerance.  Membership is tested only once the offset is below
+    # offset_tol; rounds after that squeeze it further in the rare case the
+    # margins are not yet strict.
+    sigma_floor = min(cfg.offset_tol, 1.0) / 10.0
     sigma = 1.0
     while (
         trace.offsets[-1] >= cfg.offset_tol

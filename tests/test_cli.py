@@ -14,6 +14,13 @@ from hypothesis import given, settings
 import sphsep.separation
 from sphsep.cli import main
 from sphsep.convexity import SphericalBody, hemisphericity_witness
+from sphsep.errors import (
+    ContractionStalled,
+    EpsilonSearchFailed,
+    IterationLimit,
+    NotHemispherical,
+    NumericallyAmbiguous,
+)
 from sphsep.harness import (
     CampaignReport,
     InstanceSpec,
@@ -472,6 +479,45 @@ def test_fuzz_deep_check_failure_exit_code(capsys, monkeypatch):
     assert doc["disagreements"] == 0 and doc["disjoint"] > 0
     assert doc["failures"] and all("openness probe" in f for f in doc["failures"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, target, error, code, where",
+    [
+        (("check",), "primal_intersect", NotHemispherical, 3, "document"),
+        (("check",), "primal_intersect", IterationLimit, 3, "document"),
+        (("witness", "--method", "lp"), "dual_witness", NumericallyAmbiguous, 3, "document"),
+        (("witness", "--method", "lp"), "dual_witness", IterationLimit, 3, "document"),
+        (("witness", "--method", "proof-path"), "primal_intersect", IterationLimit, 3, "document"),
+        (("witness", "--method", "proof-path"), "proof_path_witness", EpsilonSearchFailed, 5, "route"),
+        (("witness", "--method", "proof-path"), "proof_path_witness", ContractionStalled, 5, "route"),
+        (("witness", "--method", "proof-path"), "proof_path_witness", IterationLimit, 5, "route"),
+        (("plot",), "hemisphericity_witness", NotHemispherical, 3, "stderr"),
+        (("plot",), "dual_witness", IterationLimit, 3, "stderr"),
+    ],
+)
+def test_exit_code_policy(tmp_path, capsys, monkeypatch, argv, target, error, code, where):
+    # each error a route function can raise ends in one exit code and one
+    # stream: queries write the ambiguous document, a failed constructive
+    # route and plot write to stderr only
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(f"sphsep.cli.{target}", fail)
+    path = write_instance(tmp_path, DISJOINT_S2)
+    scene = tmp_path / "scene.json"
+    extra = ("-o", str(scene)) if argv[0] == "plot" else ()
+    got, out, err = run_cli(capsys, argv[0], path, *argv[1:], *extra)
+    assert got == code
+    if where == "document":
+        assert json.loads(out) == {"status": "ambiguous", "reason": "injected"}
+        assert err == ""
+    elif where == "route":
+        assert out == ""
+        assert err == "error: constructive witness route failed: injected\n"
+    else:
+        assert out == "" and err == "error: injected\n"
+        assert not scene.exists()
 
 
 @pytest.mark.parametrize(

@@ -250,6 +250,18 @@ def test_proof_path_rounds_after_offset_below_tol(dim, seed, offsets, margin):
     assert wedge_membership(b1, b2, cert.witness).member
 
 
+def test_proof_path_contracts_at_large_offset_tol():
+    # a sigma floor of offset_tol / 10 would be 1 here: every round would
+    # re-solve at sigma = 1, and the path would stall after one round
+    cfg = ToleranceConfig(offset_tol=10.0)
+    b1, b2 = generate(InstanceSpec(2, 4, 4, seed=22, mode=Mode.FORCE_DISJOINT), cfg)
+    cert, trace = proof_path_witness(b1, b2, cfg)
+    assert trace.offsets == pytest.approx([0.724079005202378, 0.003203829817322735])
+    assert trace.iterations == 1
+    assert cert.margin == pytest.approx(0.30354094017029437)
+    assert wedge_membership(b1, b2, cert.witness, cfg).member
+
+
 def _near_contact_pairs(n, target, count):
     """count pairs of 6 + 6 generator caps of spread 0.4 around e0 on S^n
     (rng seed 17), body 2 rotated in the (e0, e1) plane by an angle bisected
