@@ -39,7 +39,6 @@ from .harness import (
     generate,
     run_equivalence_campaign,
 )
-from .lp import EQ, GE, LE, LinearProgram, LpOutcome, LpStatus, solve
 from .separation import (
     MembershipResult,
     ProofTrace,
@@ -58,16 +57,10 @@ __all__ = [
     "ContractionStalled",
     "DEFAULT_CONFIG",
     "DimensionMismatch",
-    "EQ",
     "EpsilonSearchFailed",
-    "GE",
     "GenerationFailed",
     "InstanceSpec",
     "IterationLimit",
-    "LE",
-    "LinearProgram",
-    "LpOutcome",
-    "LpStatus",
     "MembershipResult",
     "Mode",
     "NotHemispherical",

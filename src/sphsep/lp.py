@@ -8,9 +8,11 @@ deterministic: a plain tableau implementation is exactly reproducible, and
 fast enough for the feasibility and pole queries of this package, which
 have at most a few hundred rows and columns.  A program is handed over as
 one coefficient matrix with a relation and a right-hand side per row, over
-nonnegative variables only (the textbook standard form): a caller with
-free or bounded variables poses their split columns and bound rows itself,
-as the hull separation does.  Nothing loops over rows or variables.  The
+nonnegative variables only (the textbook standard form).  A relation is
+its standard-form code, LE (+1), EQ (0) or GE (-1): the coefficient of
+the row's slack column, which negates with the row.  A caller with free
+or bounded variables poses their split columns and bound rows itself, as
+the hull separation does.  Nothing loops over rows or variables.  The
 tableau keeps one slack column per row, so its size grows with the square
 of the row count; the proof path's hull separations, with one row per
 fattened vertex (2n per generator on S^n, thousands on large bodies), are
@@ -26,7 +28,7 @@ No external solver is used anywhere.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -44,11 +46,8 @@ __all__ = [
     "solve",
 ]
 
-LE = "<="
-EQ = "="
-GE = ">="
 # relation codes of the standard-form rows; negating a row negates its code
-_CODE = {LE: 1, EQ: 0, GE: -1}
+LE, EQ, GE = 1, 0, -1
 # feasibility, optimality and pivot-element tolerance of the simplex
 _TOL = 1e-10
 
@@ -64,20 +63,19 @@ class LinearProgram:
     """maximize objective . x  subject to row constraints and x >= 0.
 
     constraints: an (m, n) coefficient matrix, one row per constraint
-    (default: no rows).  relations: one of "<=", "=", ">=" for every row,
-    or a single relation for all of them (default "<=").  rhs: the m
-    right-hand sides (default all 0).  So row i reads
+    (default: no rows).  relations: one code LE (+1), EQ (0) or GE (-1)
+    for every row, or a single code for all of them (default LE).  rhs:
+    the m right-hand sides (default all 0).  So row i reads
     constraints[i] . x  relations[i]  rhs[i], and ``len(constraints)`` is
     the row count.  Every variable is nonnegative; there are no other
-    bounds.  After construction ``relations`` holds one relation per row
-    and ``code`` its standard-form code, +1 (<=), 0 (=) or -1 (>=).
+    bounds.  After construction ``relations`` is an int array with one
+    code per row.
     """
 
     objective: np.ndarray
     constraints: np.ndarray | None = None
-    relations: str | Sequence[str] = LE
+    relations: int | Sequence[int] = LE
     rhs: np.ndarray | None = None
-    code: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.objective = np.asarray(self.objective, dtype=float)
@@ -93,20 +91,17 @@ class LinearProgram:
             )
         m = A.shape[0]
         self.constraints = A
-        if isinstance(self.relations, str):  # one relation for every row
-            rel = np.full(m, self.relations)
-            code = np.full(m, _CODE.get(self.relations, 2), dtype=np.intp)
-        else:
-            rel = np.asarray(self.relations)
-            if rel.shape != (m,):
-                raise DimensionMismatch(f"{rel.size} relations for {m} constraint rows")
-            code = np.full(m, 2, dtype=np.intp)
-            for name, c in _CODE.items():
-                code[rel == name] = c
-        if (code == 2).any():
-            bad = str(rel[(code == 2).argmax()])
-            raise DimensionMismatch(f"unknown relation {bad!r}")
-        self.relations, self.code = rel, code
+        rel = np.asarray(self.relations)
+        if rel.ndim == 0:  # one relation for every row
+            rel = np.full(m, rel)
+        elif rel.shape != (m,):
+            raise DimensionMismatch(f"{rel.size} relations for {m} constraint rows")
+        if rel.size and (rel.dtype.kind != "i" or rel.min() < GE or rel.max() > LE):
+            raise DimensionMismatch(
+                f"relations must be the int codes LE, EQ or GE (1, 0, -1), "
+                f"got {rel.dtype} {np.unique(rel).tolist()}"
+            )
+        self.relations = rel
         self.rhs = np.zeros(m) if self.rhs is None else np.asarray(self.rhs, dtype=float)
         if self.rhs.shape != (m,):
             raise DimensionMismatch(
@@ -123,14 +118,14 @@ class LpOutcome:
     """Result of ``solve``; ``pivots`` counts the pivots it spent.
 
     ``duals`` holds one multiplier per row of the program as given (>= 0
-    on "<=" rows, <= 0 on ">=" rows), read off the optimal cost row; it is
+    on LE rows, <= 0 on GE rows), read off the optimal cost row; it is
     set only for optimal programs that needed no phase 1, whose rows all
-    become "<=" rows with a slack once oriented to a nonnegative rhs.
+    become LE rows with a slack once oriented to a nonnegative rhs.
 
     ``ray`` is set on unbounded programs: a recession direction d >= 0 of
     the program, the simplex edge along which the objective grew without
-    bound.  Every row holds per relation in direction (A d <= 0 on "<="
-    rows, >= 0 on ">=" rows, = 0 on "=" rows), and objective . d > 0, all
+    bound.  Every row holds per relation in direction (A d <= 0 on LE
+    rows, >= 0 on GE rows, = 0 on EQ rows), and objective . d > 0, all
     within the simplex tolerance.
     """
 
@@ -213,7 +208,7 @@ def solve(lp: LinearProgram, max_pivots: int = DEFAULT_CONFIG.max_pivots) -> LpO
 
     Optimal outcomes are feasible within _TOL (1e-10); infeasibility means
     the phase-1 optimum exceeded it.  When no row needs an artificial
-    variable (every row, oriented to a nonnegative rhs, is a "<=" row),
+    variable (every row, oriented to a nonnegative rhs, is an LE row),
     there is no phase 1, and the row duals are the optimal reduced costs
     of the slack columns, negated on rows the orientation flipped.  An
     unbounded outcome carries the edge direction of its last entering
@@ -221,7 +216,7 @@ def solve(lp: LinearProgram, max_pivots: int = DEFAULT_CONFIG.max_pivots) -> LpO
     Identical inputs produce bit-identical outcomes.  Raises IterationLimit
     past ``max_pivots`` total pivots.
     """
-    c, A, code, rhs = lp.objective, lp.constraints, lp.code, lp.rhs
+    c, A, code, rhs = lp.objective, lp.constraints, lp.relations, lp.rhs
     m, ns = A.shape
 
     # orient all rows to nonnegative rhs; >= rows with rhs 0 become <= rows

@@ -62,15 +62,6 @@ __all__ = [
 ]
 
 
-class Hyperplane(NamedTuple):
-    """The set {x : normal . x = offset}, with unit normal: what one hull
-    separation of the proof path finds (built by
-    _separating_hyperplane_contracted only)."""
-
-    normal: np.ndarray
-    offset: float
-
-
 class MembershipResult(NamedTuple):
     member: bool
     margin: float
@@ -376,7 +367,7 @@ class _HullRows:
 
 def _separating_hyperplane_contracted(
     hull: _HullRows, sigma: float, cfg: ToleranceConfig
-) -> tuple[Hyperplane, float]:
+) -> tuple[np.ndarray, float, float]:
     """Max-slack hyperplane between hull(v1 u sigma v1) and hull(v2 u sigma v2).
 
     The proof path's one hull-separation routine: its first separation is
@@ -418,9 +409,9 @@ def _separating_hyperplane_contracted(
     the most violated rows and solve again, until no row is violated by more
     than the simplex tolerance.  The last solution is then an optimum of
     the full LP, feasible within that tolerance like a direct solve.  The
-    solves of one call share its pivot budget.  Returns the hyperplane
-    normalized to unit normal (offset and slack rescale with it), plus the
-    geometric slack.
+    solves of one call share its pivot budget.  Returns
+    (normal, offset, slack): the hyperplane {y : normal . y = offset}
+    scaled to a unit normal, and the geometric slack, rescaled with it.
 
     The optimum also settles every later round.  When it straddles the
     origin (a >= 0 >= b) and the duals of the two box caps
@@ -488,7 +479,7 @@ def _separating_hyperplane_contracted(
     nrm = _norm(x[:d])
     if nrm <= _TOL:
         raise ContractionStalled("degenerate zero normal in hull separation")
-    return Hyperplane(x[:d] / nrm, float(r / nrm)), t / nrm
+    return x[:d] / nrm, float(r / nrm), t / nrm
 
 
 def _fatten(x: np.ndarray, eps: float) -> np.ndarray:
@@ -568,8 +559,8 @@ def proof_path_witness(
 
     # (3) separate the Euclidean hulls
     hull = _HullRows(x1.generators, x2.generators, _pole_difference(p1, p2))
-    hyp, _ = _separating_hyperplane_contracted(hull, 1.0, cfg)
-    trace = ProofTrace(epsilon0=eps, offsets=[abs(hyp.offset)])
+    normal, offset, _ = _separating_hyperplane_contracted(hull, 1.0, cfg)
+    trace = ProofTrace(epsilon0=eps, offsets=[abs(offset)])
 
     # (4) offset contraction; sigma accumulates the composed factors.  Any
     # separator of the contracted union has |offset| < sigma, so driving
@@ -584,7 +575,7 @@ def proof_path_witness(
     sigma = 1.0
     while (
         trace.offsets[-1] >= cfg.offset_tol
-        or not (check := wedge_membership(b1, b2, hyp.normal, cfg)).member
+        or not (check := wedge_membership(b1, b2, normal, cfg)).member
     ):
         prev = trace.offsets[-1]
         # below offset_tol only the wedge margin keeps the loop going, and
@@ -601,17 +592,15 @@ def proof_path_witness(
                 f"contraction rounds; offset is {prev:.3e}{why}"
             )
         sigma = max(sigma * prev, sigma_floor)
-        hyp, _ = _separating_hyperplane_contracted(hull, sigma, cfg)
-        if abs(hyp.offset) >= prev * (1.0 - _TOL):
+        normal, offset, _ = _separating_hyperplane_contracted(hull, sigma, cfg)
+        if abs(offset) >= prev * (1.0 - _TOL):
             raise ContractionStalled(
                 f"offset magnitude stalled at {prev:.3e}{why} after "
                 f"{trace.iterations + 1} contraction rounds"
             )
-        trace.offsets.append(abs(hyp.offset))
+        trace.offsets.append(abs(offset))
 
-    cert = SeparationCertificate(
-        kind="disjoint", witness=hyp.normal, margin=check.margin
-    )
+    cert = SeparationCertificate(kind="disjoint", witness=normal, margin=check.margin)
     return cert, trace
 
 

@@ -66,6 +66,33 @@ def equivalence_campaign():
     }
 
 
+@pytest.fixture(scope="session")
+def campaign_certificates(equivalence_campaign):
+    """Every certificate of the acceptance campaign, as (certificate,
+    body-1 generators, body-2 generators), in campaign order.
+
+    The campaign is rerun in-process with a spy on the dual_witness that
+    the harness calls; its report must equal the CLI run's, so these are
+    the certificates behind that report.
+    """
+    import sphsep.harness
+    from sphsep.harness import run_equivalence_campaign
+
+    dual_witness = sphsep.harness.dual_witness
+    seen = []
+
+    def spy(b1, b2, *args, **kwargs):
+        cert = dual_witness(b1, b2, *args, **kwargs)
+        seen.append((cert, b1.generators, b2.generators))
+        return cert
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sphsep.harness, "dual_witness", spy)
+        report = run_equivalence_campaign(1000, [1, 2, 3, 5], list(range(1, 13)), 42)
+    assert report.to_dict() == equivalence_campaign["report"]
+    return seen
+
+
 @pytest.fixture
 def solve_sites(monkeypatch):
     """The calling function of every lp.solve call made while the test

@@ -4,8 +4,10 @@ Everything here deliberately avoids the library's simplex code path:
 optima come from exhaustive vertex enumeration with dense linear algebra
 or, where that is out of reach, from an LP duality certificate checked by
 nonnegative least squares; hull membership from Caratheodory subset
-enumeration, duplicate rows from a pairwise loop, and openness-probe
-margins from a per-sample loop.  Slow but obviously correct at test scale.
+enumeration, duplicate rows from a pairwise loop, openness-probe
+margins from a per-sample loop, and certificates from exact rational
+arithmetic over the generators (certificate_holds).  Slow but obviously
+correct at test scale.
 The exceptions are earlier forms of library routes, kept on the same
 solver as references the current forms must reproduce: dual_witness_oracle
 keeps the earlier order of dual_witness (both hemisphericity LPs before the
@@ -24,6 +26,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,7 +50,7 @@ class BoxProgram:
 
     objective: np.ndarray
     constraints: np.ndarray | None = None
-    relations: str | Sequence[str] = LE
+    relations: int | Sequence[int] = LE
     rhs: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
@@ -77,7 +80,7 @@ def standard_form(prog: BoxProgram):
 
     A variable with lower bound 0 (of either sign) or above passes through,
     shifted by it; any other is split into a (+, -) column pair.  Finite
-    bounds not absorbed that way become "<=" rows after prog's rows, in
+    bounds not absorbed that way become LE rows after prog's rows, in
     variable order: an upper bound before a lower one."""
     owner, sign, extra = [], [], []
     shift = np.zeros(prog.num_vars)
@@ -311,6 +314,43 @@ def separates(p: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> float:
     p.q and over body-2 generators of -p.r.  Positive means p separates."""
     pv = np.asarray(p, dtype=float)
     return min(float(np.min(g1 @ pv)), float(np.min(-(g2 @ pv))))
+
+
+def _exact_dot(u, v) -> Fraction:
+    """u . v for two sequences of floats in exact rational arithmetic: every
+    float is the dyadic rational it stores, so nothing rounds."""
+    return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
+
+
+def certificate_holds(
+    cert: SeparationCertificate, g1: np.ndarray, g2: np.ndarray, tol: float = 1e-12
+) -> bool:
+    """Does cert hold for the bodies generated by the rows of g1 and g2,
+    judged in exact arithmetic over those generators, without the simplex?
+
+    A disjoint certificate's witness P must have a positive exact margin
+    min(min P . Q, -max P . R), and its stated margin may exceed that by
+    at most tol.  An intersecting certificate needs lam >= 0 and mu >= 0,
+    one entry per generator of its body, |sum lam + sum mu - 1| <= tol and
+    ||sum lam Q - sum mu R||_inf <= tol, all exactly."""
+    signed = np.vstack([g1, -g2])  # negation is exact
+    if cert.kind == "disjoint":
+        w = [Fraction(x) for x in cert.witness.tolist()]
+        dots = []
+        for row in signed.tolist():
+            dots.append(_exact_dot(w, row))
+            if dots[-1] <= 0:
+                return False
+        return Fraction(cert.margin) - min(dots) <= tol
+    lam, mu = cert.lam, cert.mu
+    if lam.shape != (g1.shape[0],) or mu.shape != (g2.shape[0],):
+        return False
+    if lam.min() < 0.0 or mu.min() < 0.0:
+        return False
+    y = np.concatenate([lam, mu]).tolist()
+    if abs(sum(map(Fraction, y)) - 1) > tol:
+        return False
+    return all(abs(_exact_dot(y, column)) <= tol for column in signed.T.tolist())
 
 
 def gram_schmidt_frame(base: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Acceptance gate: one test per release criterion.
 
 Criteria 1-5 all read the single 1000-instance equivalence campaign fixture
-(run through the real CLI), whose stdout a further test pins by sha256; 6-8
+(run through the real CLI), whose stdout a further test pins by sha256;
+criterion 2 also judges every certificate of that campaign in exact
+arithmetic, from an in-process rerun whose report must match.  6-8
 exercise the geometry kernel, the simplex
 solver against a brute-force oracle, and CLI byte-stability against the
 stored golden corpus.  Each test records exactly one PASS/FAIL line,
@@ -14,7 +16,9 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +35,14 @@ from sphsep.lp import GE, LE, LpStatus
 from sphsep.separation import _fatten, wedge_membership
 
 from .conftest import GOLDEN_DIR
-from .oracles import BoxProgram, hull_member_oracle, lp_feasible, lp_oracle, solve_box
+from .oracles import (
+    BoxProgram,
+    certificate_holds,
+    hull_member_oracle,
+    lp_feasible,
+    lp_oracle,
+    solve_box,
+)
 
 
 def run_cli_captured(args):
@@ -61,22 +72,75 @@ def test_criterion_1_equivalence_campaign(acceptance, equivalence_campaign):
     )
 
 
-def test_criterion_2_witness_soundness(acceptance, equivalence_campaign):
+def test_criterion_2_witness_soundness(acceptance, equivalence_campaign, campaign_certificates):
     report = equivalence_campaign["report"]
-    sound = report["checks"]["witness_soundness"]
-    soundness_failures = [f for f in report["failures"] if "soundness" in f]
+    kinds = Counter(cert.kind for cert, _, _ in campaign_certificates)
+    held = Counter(
+        cert.kind for cert, g1, g2 in campaign_certificates if certificate_holds(cert, g1, g2)
+    )
     ok = (
         report["disjoint"] >= 200
-        and sound == report["disjoint"]
-        and not soundness_failures
+        and kinds == {"disjoint": report["disjoint"], "intersecting": report["intersecting"]}
+        and held == kinds
     )
     acceptance(
         2,
-        "witness soundness by direct dots",
+        "certificate soundness, exact over the generators",
         ok,
-        f"{sound}/{report['disjoint']} disjoint certificates verified, "
-        f"margin > 1e-9, {len(soundness_failures)} failures",
+        f"{held['disjoint']}/{report['disjoint']} disjoint poles with positive exact "
+        f"margin, {held['intersecting']}/{report['intersecting']} intersecting "
+        f"combinations exact within 1e-12",
     )
+
+
+def _rotated_past_margin(cert, g1, g2):
+    """cert with its witness P turned, in the plane of P and the generator
+    row s that sets its margin m = P . s (rows of body 2 negated), by twice
+    the angle asin(m) between s and P's great sphere: s ends at P . s = -m."""
+    signed = np.vstack([g1, -g2])
+    s = signed[(signed @ cert.witness).argmin()]
+    m = float(s @ cert.witness)
+    away = normalize(s - m * cert.witness)
+    angle = 2.0 * np.arcsin(m)
+    return replace(cert, witness=np.cos(angle) * cert.witness - np.sin(angle) * away)
+
+
+def _negative_lam(cert):
+    lam = cert.lam.copy()
+    lam[lam.argmax()] *= -1.0
+    return replace(cert, lam=lam)
+
+
+def _mutants(cert, g1, g2):
+    """Broken forms of cert over (g1, g2), by name, each as (certificate,
+    body-1 generators, body-2 generators).  An intersecting certificate is
+    read against the swapped bodies only where a float residual shows that
+    wrong: it can hold for the swapped pair too (a generator planted in
+    both bodies, with lam = mu)."""
+    if cert.kind == "disjoint":
+        return {
+            "negated witness": (replace(cert, witness=-cert.witness), g1, g2),
+            "witness rotated past its margin": (_rotated_past_margin(cert, g1, g2), g1, g2),
+            "swapped bodies": (cert, g2, g1),
+        }
+    mutants = {"negative lam": (_negative_lam(cert), g1, g2)}
+    if cert.lam.size != g2.shape[0] or np.abs(cert.lam @ g2 - cert.mu @ g1).max() > 1e-9:
+        mutants["swapped bodies"] = (cert, g2, g1)
+    return mutants
+
+
+def test_certificate_check_refuses_mutations(campaign_certificates):
+    # criterion 2's check must refuse every broken certificate
+    tried, refused = Counter(), Counter()
+    for cert, g1, g2 in campaign_certificates:
+        for name, (mutant, h1, h2) in _mutants(cert, g1, g2).items():
+            tried[name] += 1
+            refused[name] += not certificate_holds(mutant, h1, h2)
+    kinds = Counter(cert.kind for cert, _, _ in campaign_certificates)
+    assert tried["negated witness"] == tried["witness rotated past its margin"] == kinds["disjoint"]
+    assert tried["negative lam"] == kinds["intersecting"]
+    assert tried["swapped bodies"] > kinds["disjoint"]
+    assert refused == tried
 
 
 def test_criterion_3_wedge_convexity(acceptance, equivalence_campaign):
@@ -189,7 +253,7 @@ def test_criterion_7_lp_against_oracle(acceptance):
         nc = int(rng.integers(1, 7))
         A = rng.standard_normal((nc, nv))
         b = rng.standard_normal(nc)
-        rels = [str(r) for r in rng.choice([LE, GE], size=nc)]
+        rels = [int(r) for r in rng.choice([LE, GE], size=nc)]
         lp = BoxProgram(
             objective=rng.standard_normal(nv),
             constraints=A,

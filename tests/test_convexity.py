@@ -248,7 +248,7 @@ def test_fatten_originals_become_interior():
                 assert hull_member_oracle(fat, probe, tol=1e-8)
 
 
-def test_pullback_inverts_projection():
+def test_central_unproject_inverts_projection():
     rng = np.random.default_rng(23)
     center = normalize(rng.standard_normal(4))
     body = cap_body(rng, center, 6)
@@ -258,7 +258,7 @@ def test_pullback_inverts_projection():
     assert np.max(np.abs(back.generators - body.generators)) < 1e-12
 
 
-def test_pullback_matches_per_vertex_unprojection():
+def test_central_unproject_matches_per_vertex_unprojection():
     # the proof path's fattened body: project, _fatten, unproject the matrix
     rng = np.random.default_rng(29)
     center = normalize(rng.standard_normal(5))

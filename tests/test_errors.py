@@ -45,3 +45,10 @@ def test_every_exported_name_has_a_caller_in_the_package():
                 used.add(node.attr)
     unused = sorted(set(sphsep.__all__) - used)
     assert unused == [], f"exported names no package module references: {unused}"
+
+
+def test_package_root_does_not_reexport_the_simplex():
+    # the simplex's names are imported from sphsep.lp, and only from there
+    from sphsep import lp
+
+    assert sorted(set(sphsep.__all__) & set(lp.__all__)) == []

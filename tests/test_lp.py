@@ -169,6 +169,10 @@ def test_rejects_mismatched_rows():
         # unknown relation, alone or in a list
         dict(constraints=np.ones((2, 2)), relations="<", rhs=np.zeros(2)),
         dict(constraints=np.ones((2, 2)), relations=[LE, "=>"], rhs=np.zeros(2)),
+        dict(constraints=np.ones((2, 2)), relations=2, rhs=np.zeros(2)),
+        dict(constraints=np.ones((2, 2)), relations=[LE, -2], rhs=np.zeros(2)),
+        dict(constraints=np.ones((2, 2)), relations=[1.0, 0.0], rhs=np.zeros(2)),
+        dict(constraints=np.ones((2, 2)), relations=np.array([LE, EQ], np.uint8), rhs=np.zeros(2)),
         # rhs of the wrong length or shape
         dict(constraints=np.ones((2, 2)), relations=LE, rhs=np.zeros(3)),
         dict(constraints=np.ones((2, 2)), relations=LE, rhs=np.zeros((2, 1))),
@@ -187,7 +191,7 @@ def test_single_relation_applies_to_every_row():
     lp = LinearProgram(objective=np.array([-1.0, -1.0]), constraints=A, relations=GE,
                        rhs=np.array([1.0, 1.0, 3.0]))
     assert list(lp.relations) == [GE, GE, GE]
-    assert lp.code.tolist() == [-1, -1, -1]
+    assert lp.relations.tolist() == [-1, -1, -1]
     assert len(lp.constraints) == 3
     spelled_out = LinearProgram(objective=lp.objective, constraints=A,
                                 relations=[GE, GE, GE], rhs=lp.rhs)
@@ -200,7 +204,7 @@ def test_single_relation_applies_to_every_row():
 def test_mixed_relations_are_coded_per_row():
     lp = LinearProgram(objective=np.array([1.0]), constraints=np.ones((3, 1)),
                        relations=np.array([LE, EQ, GE]), rhs=np.array([2.0, 1.0, 0.0]))
-    assert lp.code.tolist() == [1, 0, -1]
+    assert lp.relations.tolist() == [1, 0, -1]
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL and np.isclose(out.solution[0], 1.0)
 
@@ -229,7 +233,7 @@ def test_solve_leaves_the_program_unchanged():
                        relations=[LE, GE], rhs=np.array([2.0, -1.0]))
     first = solve(lp)
     assert np.array_equal(lp.constraints, A)
-    assert lp.rhs.tolist() == [2.0, -1.0] and lp.code.tolist() == [1, -1]
+    assert lp.rhs.tolist() == [2.0, -1.0] and lp.relations.tolist() == [1, -1]
     assert np.array_equal(solve(lp).solution, first.solution)
 
 
@@ -301,7 +305,7 @@ def _no_phase_one_lp(rng):
     "<=" row caps sum x at 5, so the upper bounds never bind and the row
     duals alone carry the dual optimum."""
     nv, nc = int(rng.integers(1, 5)), int(rng.integers(0, 5))
-    rels = [str(r) for r in rng.choice([LE, GE], size=nc)] + [LE]
+    rels = [int(r) for r in rng.choice([LE, GE], size=nc)] + [LE]
     A = np.vstack([rng.standard_normal((nc, nv)), np.ones(nv)])
     b = np.append(rng.uniform(0.0, 2.0, nc) * rng.choice([0.0, 1.0], nc, p=[0.2, 0.8]), 5.0)
     b[: nc][np.array(rels[:nc]) == GE] *= -1.0
@@ -510,7 +514,7 @@ def _bits_battery_lp(rng):
     x0 = np.clip(rng.uniform(-1.0, 2.0, nv), lower, upper)
     A = rng.standard_normal((nc, nv))
     A[rng.random((nc, nv)) < 0.2] = 0.0
-    rels = [str(r) for r in rng.choice([LE, GE, EQ], size=nc)]
+    rels = [int(r) for r in rng.choice([LE, GE, EQ], size=nc)]
     slack = rng.exponential(1.0, nc) * (rng.random(nc) < 0.7)
     b = A @ x0 + np.array([{LE: 1.0, GE: -1.0, EQ: 0.0}[r] for r in rels]) * slack
     redraw = rng.random(nc) < 0.15

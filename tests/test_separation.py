@@ -397,9 +397,11 @@ def test_contracted_separation_matches_materialized_union(seed, c1, c2, sigma):
     v2 = np.array(c2) + 0.5 * rng.standard_normal((3, 2))
     u1, u2 = np.vstack([v1, sigma * v1]), np.vstack([v2, sigma * v2])
 
-    hyp, slack = _separating_hyperplane_contracted(_HullRows(v1, v2), sigma, ToleranceConfig())
-    assert np.min(u1 @ hyp.normal) - hyp.offset >= slack - 1e-9
-    assert hyp.offset - np.max(u2 @ hyp.normal) >= slack - 1e-9
+    normal, offset, slack = _separating_hyperplane_contracted(
+        _HullRows(v1, v2), sigma, ToleranceConfig()
+    )
+    assert np.min(u1 @ normal) - offset >= slack - 1e-9
+    assert offset - np.max(u2 @ normal) >= slack - 1e-9
 
     h1 = np.hstack([u1, -np.ones((6, 1))])
     h2 = np.hstack([u2, -np.ones((6, 1))])
@@ -409,7 +411,7 @@ def test_contracted_separation_matches_materialized_union(seed, c1, c2, sigma):
     assert status == "optimal"
     # the optimum touches the |P_k|, |r| <= 1 box, so rescaling the unit
     # hyperplane back into it recovers the box-scale slack
-    box = max(np.max(np.abs(hyp.normal)), abs(hyp.offset))
+    box = max(np.max(np.abs(normal)), abs(offset))
     assert slack / box == pytest.approx(best, rel=1e-6, abs=1e-12)
 
 
@@ -493,7 +495,7 @@ def test_row_generation_reaches_full_lp_optimum(monkeypatch, n):
         hull.carried = None
         with monkeypatch.context() as mp:
             mp.setattr(sphsep.separation, "solve", spy)
-            hyp, slack = _separating_hyperplane_contracted(hull, sigma, cfg)
+            normal, offset, slack = _separating_hyperplane_contracted(hull, sigma, cfg)
         lp, out = solves[-1]  # the last solve of the row generation
         assert out.status is LpStatus.OPTIMAL
         x = _unsplit(out.solution)
@@ -505,8 +507,8 @@ def test_row_generation_reaches_full_lp_optimum(monkeypatch, n):
         ones = -np.ones((u1.shape[0], 1))
         union = box_pole_lp(np.vstack([np.hstack([u1, ones]), -np.hstack([u2, ones])]))
         union.lower[-1], union.upper[-1] = -10.0, 10.0
-        box = max(np.max(np.abs(hyp.normal)), abs(hyp.offset))
-        x = np.concatenate([hyp.normal, [hyp.offset, slack]]) / box
+        box = max(np.max(np.abs(normal)), abs(offset))
+        x = np.concatenate([normal, [offset, slack]]) / box
         assert lp_optimal_at(union, x), sigma
 
 
@@ -569,7 +571,7 @@ def _covers(hull, sigma):
 def _carried_rounds(monkeypatch, b1, b2, cfg):
     """Every contraction round of the proof path on (b1, b2) that is read
     off a carried optimum, as (a copy of the hull that round saw, sigma,
-    the hyperplane it got)."""
+    the hyperplane's (normal, offset) it got)."""
     seen = []
     separate = sphsep.separation._separating_hyperplane_contracted
 
@@ -577,7 +579,7 @@ def _carried_rounds(monkeypatch, b1, b2, cfg):
         before = copy.deepcopy(hull) if _covers(hull, sigma) else None
         got = separate(hull, sigma, cfg)
         if before is not None:
-            seen.append((before, sigma, got[0]))
+            seen.append((before, sigma, got[:2]))
         return got
 
     with monkeypatch.context() as mp:
@@ -595,7 +597,7 @@ def _assert_carried_rounds_are_optima(monkeypatch, seen, cfg):
     # sigma, which moves no optimum.  In tau the cap duals are 1 / (2 sigma),
     # 5e6 at the floor sigma = 1e-7, past what the nonnegative least-squares
     # check resolves at its 1e-9 tolerance; in t they are at most 1.
-    for hull, sigma, hyp in seen:
+    for hull, sigma, (normal, offset) in seen:
         sigma0, x = hull.carried
         d = x.size - 5
         assert sigma <= sigma0 and x[d] >= 0.0 >= x[d + 1]
@@ -610,12 +612,12 @@ def _assert_carried_rounds_are_optima(monkeypatch, seen, cfg):
 
         with monkeypatch.context() as mp:
             mp.setattr(sphsep.separation, "solve", spy)
-            again, _ = _separating_hyperplane_contracted(hull, sigma, cfg)
+            again, again_offset, _ = _separating_hyperplane_contracted(hull, sigma, cfg)
         full = _hull_program(solves[-1], _vertex_rows(hull))
         full.constraints[:, d + 4] /= sigma
         assert lp_optimal_at(full, point), sigma
-        assert np.max(np.abs(again.normal - hyp.normal)) <= 1e-12, sigma
-        assert abs(again.offset - hyp.offset) <= 1e-12, sigma
+        assert np.max(np.abs(again - normal)) <= 1e-12, sigma
+        assert abs(again_offset - offset) <= 1e-12, sigma
 
 
 def test_carried_rounds_are_optima_on_the_pin_cases(monkeypatch):
@@ -693,11 +695,13 @@ def test_box_capped_optimum_is_solved_again():
     # optimum moves to another normal
     cfg = ToleranceConfig()
     hull = _union_hull(21, (3.0, 0.0), (-3.0, 1.0))
-    hyp, _ = _separating_hyperplane_contracted(hull, 1.0, cfg)
+    normal, _, _ = _separating_hyperplane_contracted(hull, 1.0, cfg)
     assert hull.carried is None
     # a carried round would have kept the sigma = 1 normal
-    half, _ = _separating_hyperplane_contracted(_union_hull(21, (3.0, 0.0), (-3.0, 1.0)), 0.5, cfg)
-    assert np.max(np.abs(half.normal - hyp.normal)) > 0.05
+    half, _, _ = _separating_hyperplane_contracted(
+        _union_hull(21, (3.0, 0.0), (-3.0, 1.0)), 0.5, cfg
+    )
+    assert np.max(np.abs(half - normal)) > 0.05
 
 
 def test_straddling_optimum_carries_to_smaller_sigma(monkeypatch):
@@ -719,17 +723,17 @@ def test_straddling_optimum_carries_to_smaller_sigma(monkeypatch):
         assert hull.carried is not None and hull.carried[0] == 1.0
         with monkeypatch.context() as mp:
             mp.setattr(sphsep.separation, "solve", spy)
-            hyp, slack = _separating_hyperplane_contracted(hull, 0.5, cfg)
+            got = _separating_hyperplane_contracted(hull, 0.5, cfg)
             assert not solved
             _separating_hyperplane_contracted(copy.deepcopy(hull), 1.5, cfg)
             assert solved
             solved.clear()
-        want, want_slack = _separating_hyperplane_contracted(
+        want = _separating_hyperplane_contracted(
             _union_hull(seed, (3.0, 0.0), (-3.0, 1.0)), 0.5, cfg
         )
-        assert np.max(np.abs(hyp.normal - want.normal)) <= 1e-12
-        assert abs(hyp.offset - want.offset) <= 1e-12
-        assert abs(slack - want_slack) <= 1e-12
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-12
+        assert abs(got[1] - want[1]) <= 1e-12
+        assert abs(got[2] - want[2]) <= 1e-12
 
 
 def test_rounds_after_the_certified_round_solve_no_lp(monkeypatch):
