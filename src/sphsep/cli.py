@@ -72,10 +72,6 @@ class _RouteFailed(Exception):
     """The constructive witness route gave up; main exits 5 with its message."""
 
 
-def _coords(vec: np.ndarray) -> list[float]:
-    return [float(x) for x in vec]
-
-
 def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
@@ -161,9 +157,9 @@ def _load_instance(path: str, args) -> tuple[SphericalBody, SphericalBody, Toler
 def _intersection_doc(inter) -> dict:
     return {
         "status": "intersecting",
-        "common_point": _coords(inter.common_point),
-        "lambda": _coords(inter.lam),
-        "mu": _coords(inter.mu),
+        "common_point": inter.common_point.tolist(),
+        "lambda": inter.lam.tolist(),
+        "mu": inter.mu.tolist(),
     }
 
 
@@ -175,7 +171,7 @@ def _check_route(b1, b2, cfg) -> tuple[dict, int]:
 
 
 def _pole_doc(cert) -> dict:
-    return {"status": "disjoint", "witness": _coords(cert.witness), "margin": float(cert.margin)}
+    return {"status": "disjoint", "witness": cert.witness.tolist(), "margin": cert.margin}
 
 
 def _lp_route(b1, b2, cfg) -> tuple[dict, int]:
@@ -196,8 +192,8 @@ def _proof_path_route(b1, b2, cfg) -> tuple[dict, int]:
         raise _RouteFailed(f"constructive witness route failed: {exc}") from exc
     doc = _pole_doc(cert)
     doc["trace"] = {
-        "epsilon0": float(trace.epsilon0),
-        "offsets": [float(o) for o in trace.offsets],
+        "epsilon0": trace.epsilon0,
+        "offsets": trace.offsets,
         "iterations": trace.iterations,
     }
     return doc, 0
@@ -265,29 +261,21 @@ def _slerp(u: np.ndarray, v: np.ndarray, count: int) -> list[list[float]]:
     """Great-circle arc from u to v, inclusive, count samples."""
     dot = float(np.clip(u @ v, -1.0, 1.0))
     omega = float(np.arccos(dot))
-    pts = []
-    for i in range(count):
-        s = i / (count - 1)
-        if omega < 1e-12:
-            p = normalize((1 - s) * u + s * v)
-        else:
-            p = (np.sin((1 - s) * omega) * u + np.sin(s * omega) * v) / np.sin(omega)
-        pts.append(_coords(p))
-    return pts
+    s = (np.arange(count) / (count - 1))[:, None]
+    if omega < 1e-12:
+        return [normalize(p).tolist() for p in (1 - s) * u + s * v]
+    return ((np.sin((1 - s) * omega) * u + np.sin(s * omega) * v) / np.sin(omega)).tolist()
 
 
 def _hull_edges_2d(points: np.ndarray) -> list[tuple[int, int]]:
     """Edges of the planar convex hull (monotone chain), as index pairs into
-    points; a 2-point hull gives one edge, a single point none."""
+    points; a hull of two distinct points, or of collinear ones, gives one
+    edge, a single point none."""
     order = np.lexsort((points[:, 1], points[:, 0]))
     uniq: list[int] = []
     for idx in order:
         if not uniq or np.max(np.abs(points[idx] - points[uniq[-1]])) > _UNIT_TOL:
             uniq.append(int(idx))
-    if len(uniq) < 2:
-        return []
-    if len(uniq) == 2:
-        return [(uniq[0], uniq[1])]
 
     def cross(o, a, b):
         return (points[a, 0] - points[o, 0]) * (points[b, 1] - points[o, 1]) - (
@@ -319,7 +307,7 @@ def _body_scene(body: SphericalBody, cfg: ToleranceConfig) -> dict:
     arcs = [
         _slerp(gens[i], gens[j], _ARC_SAMPLES) for i, j in _hull_edges_2d(flat)
     ]
-    return {"generators": [_coords(g) for g in gens], "arcs": arcs}
+    return {"generators": gens.tolist(), "arcs": arcs}
 
 
 def _cmd_plot(args) -> int:
@@ -333,12 +321,9 @@ def _cmd_plot(args) -> int:
         cert = None
     if cert is not None and cert.kind == "disjoint":
         u, v = orthonormal_frame(cert.witness).basis
-        boundary = []
-        for i in range(_BOUNDARY_SAMPLES):
-            theta = 2.0 * np.pi * i / _BOUNDARY_SAMPLES
-            boundary.append(_coords(np.cos(theta) * u + np.sin(theta) * v))
-        scene["witness"] = _coords(cert.witness)
-        scene["boundary"] = boundary
+        theta = (2.0 * np.pi * np.arange(_BOUNDARY_SAMPLES) / _BOUNDARY_SAMPLES)[:, None]
+        scene["witness"] = cert.witness.tolist()
+        scene["boundary"] = (np.cos(theta) * u + np.sin(theta) * v).tolist()
     payload = json.dumps(scene, indent=2) + "\n"
     try:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -34,7 +34,10 @@ class EpsilonSearchFailed(SphSepError):
 
 
 class ContractionStalled(SphSepError):
-    """Hyperplane offset failed to shrink; numerically degenerate instance."""
+    """The proof path's offset contraction gave up: the offset magnitude
+    stalled; max_iter rounds or a zero offset left the normal outside the
+    witness wedge; a separation found no positive slack; or its normal was
+    zero."""
 
 
 class GenerationFailed(SphSepError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -184,22 +184,11 @@ class CampaignReport:
     failures: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "config": {
-                "count": self.count,
-                "dims": list(self.dims),
-                "sizes": list(self.sizes),
-                "seed": self.seed,
-            },
-            "instances": self.instances,
-            "agreements": self.agreements,
-            "ambiguous": self.ambiguous,
-            "disagreements": self.disagreements,
-            "disjoint": self.disjoint,
-            "intersecting": self.intersecting,
-            "checks": dict(self.checks),
-            "failures": list(self.failures),
-        }
+        """The fields in order, with count, dims, sizes and seed nested under
+        "config"; the lists and the dict are copies."""
+        doc = asdict(self)
+        config = {key: doc.pop(key) for key in ("count", "dims", "sizes", "seed")}
+        return {"config": config, **doc}
 
 
 _MODE_CYCLE = (

@@ -540,18 +540,16 @@ def proof_path_witness(
 
     # (2) fattening radius search by halving
     eps = 0.5
-    x1 = x2 = None
     for _ in range(cfg.max_iter):
-        cand1 = SphericalBody(central_unproject(f1, _fatten(t1, eps)))
-        cand2 = SphericalBody(central_unproject(f2, _fatten(t2, eps)))
+        x1 = SphericalBody(central_unproject(f1, _fatten(t1, eps)))
+        x2 = SphericalBody(central_unproject(f2, _fatten(t2, eps)))
         try:
-            if primal_intersect(cand1, cand2, cfg) is None:
-                x1, x2 = cand1, cand2
+            if primal_intersect(x1, x2, cfg) is None:
                 break
         except NotHemispherical:
             pass  # fattened out of every hemisphere of margin margin_tol
         eps *= 0.5
-    if x1 is None:
+    else:
         raise EpsilonSearchFailed(
             f"no fattening radius in {cfg.max_iter} halvings kept the bodies "
             "disjoint; the spherical hulls touch within tolerance"

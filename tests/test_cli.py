@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import sphsep.separation
-from sphsep.cli import main
+from sphsep.cli import _slerp, main
 from sphsep.convexity import SphericalBody, hemisphericity_witness
 from sphsep.errors import (
     ContractionStalled,
@@ -693,6 +693,36 @@ def test_plot_singletons(tmp_path, capsys):
     assert [len(b["generators"]) for b in scene["bodies"]] == [1, 1]
     assert [len(b["arcs"]) for b in scene["bodies"]] == [0, 0]
     assert len(scene["boundary"]) == 128
+
+
+def test_plot_collinear_body_has_one_arc(tmp_path, capsys):
+    # three generators on the great circle z = 0, the middle one listed
+    # first: the hull of their projections is a segment, so the scene has
+    # one arc, from the generator at angle 0 to the one at angle 0.6
+    angles = [0.3, 0.0, 0.6]
+    w1 = [[np.cos(a), np.sin(a), 0.0] for a in angles]
+    doc = {"n": 2, "w1": w1, "w2": [[0.0, 0.0, -1.0]]}
+    path = write_instance(tmp_path, doc)
+    out_path = tmp_path / "scene.json"
+    code, _, _ = run_cli(capsys, "plot", path, "-o", str(out_path))
+    assert code == 0
+    arcs = json.loads(out_path.read_text())["bodies"][0]["arcs"]
+    assert len(arcs) == 1
+    assert {tuple(arcs[0][0]), tuple(arcs[0][-1])} == {tuple(w1[1]), tuple(w1[2])}
+
+
+def test_slerp_samples_both_branches():
+    # u to itself takes the near-zero-angle branch: count copies of u, where
+    # the sine formula would divide by sin(0)
+    u = np.array([0.36, 0.48, 0.8])
+    same = np.array(_slerp(u, u, 32))
+    assert same.shape == (32, 3)
+    assert np.abs(same - u).max() <= 1e-15
+    arc = np.array(_slerp(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 32))
+    assert arc.shape == (32, 3)
+    assert np.abs(np.linalg.norm(arc, axis=1) - 1.0).max() <= 1e-15
+    assert np.abs(arc[0] - [1.0, 0.0, 0.0]).max() <= 1e-15
+    assert np.abs(arc[-1] - [0.0, 1.0, 0.0]).max() <= 1e-15
 
 
 def test_plot_intersecting_scene_has_no_witness(tmp_path, capsys):

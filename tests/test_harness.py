@@ -14,6 +14,7 @@ from sphsep.convexity import SphericalBody
 from sphsep.errors import GenerationFailed
 from sphsep.geometry import ToleranceConfig, normalize
 from sphsep.harness import (
+    CampaignReport,
     InstanceSpec,
     Mode,
     _grid_break,
@@ -316,6 +317,33 @@ def test_report_dict_stable_and_serializable():
     ]
     assert doc["config"] == {"count": 8, "dims": [1], "sizes": [1, 2], "seed": 2}
     json.dumps(doc)  # round-trippable
+
+
+def test_report_dict_is_a_copy():
+    report = CampaignReport(count=2, dims=[1, 2], sizes=[3], seed=5, instances=2)
+    report.checks["proof_path"] = 1
+    report.failures.append("seed=1: example")
+    doc = report.to_dict()
+    assert list(doc) == [
+        "config",
+        "instances",
+        "agreements",
+        "ambiguous",
+        "disagreements",
+        "disjoint",
+        "intersecting",
+        "checks",
+        "failures",
+    ]
+    assert list(doc["config"]) == ["count", "dims", "sizes", "seed"]
+    doc["config"]["dims"].append(9)
+    doc["config"]["sizes"].clear()
+    doc["checks"]["proof_path"] = 7
+    doc["failures"].append("extra")
+    assert report.dims == [1, 2] and report.sizes == [3]
+    assert report.checks["proof_path"] == 1
+    assert report.failures == ["seed=1: example"]
+    assert report.to_dict()["config"] == {"count": 2, "dims": [1, 2], "sizes": [3], "seed": 5}
 
 
 def test_report_counts_are_plain_ints():

@@ -922,7 +922,7 @@ def test_disjoint_pair_off_the_pole_difference_takes_the_cone_lp(solve_sites):
 def test_cap_pairs_certify_disjointness_without_an_lp(monkeypatch, solve_sites, dim):
     # caps: the generator sums are poles and their normalized difference is
     # a wedge member, both for the bodies (check) and for the fattened
-    # pullbacks at the proof path's accepted radius
+    # bodies at the proof path's accepted radius
     b1, b2 = disjoint_pair(seed=0, dim=dim, k1=6, k2=5)
     solve_sites.clear()
     assert primal_intersect(b1, b2) is None
