@@ -12,9 +12,10 @@ Files are UTF-8 JSON.  An instance file holds {"n": ..., "w1": [[...]],
 "w2": [[...]]} with optional {"tolerances": {...}} overrides of
 margin_tol, offset_tol and max_iter; n and every coordinate must be JSON
 numbers (not booleans or strings).  A row is rejected below norm 1e-6 or at
-a non-finite norm, read as it is within 1e-12 of unit norm, else normalized
-with a note on stderr.  Result documents are emitted to stdout with fixed key
-order so identical inputs produce identical bytes; timing goes to stderr.
+a non-finite norm, read as it is within 1e-9 of unit norm (SphericalBody's
+norm and tolerance), else normalized with a note on stderr.  Result
+documents are emitted to stdout with fixed key order so identical inputs
+produce identical bytes; timing goes to stderr.
 
 Exit codes (stable); main maps _InputError, _RouteFailed and plot's
 errors to theirs, while check and witness report ambiguity as a document:
@@ -49,6 +50,7 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_CONFIG,
+    _SHAPE_TOL,
     _UNIT_TOL,
     ToleranceConfig,
     central_project,
@@ -118,13 +120,14 @@ def _body_from(data: dict, key: str, n: int) -> SphericalBody:
             vec = np.array([float(x) for x in row])
         except OverflowError as exc:  # an integer literal beyond the float range
             raise _InputError(f'"{key}"[{i}] has an entry too large for a float') from exc
+        # SphericalBody's norm and unit tolerance: a row it accepts is read as it is
         with np.errstate(over="ignore"):  # the norm of finite entries may overflow
-            nrm = float(np.linalg.norm(vec))
+            nrm = float(np.sqrt((vec * vec).sum()))
         if not np.isfinite(nrm):
             raise _InputError(f'"{key}"[{i}] has norm {nrm}; a row needs a finite norm')
         if nrm < 1e-6:
             raise _InputError(f'"{key}"[{i}] has norm {nrm:.2e}, below 1e-6')
-        if abs(nrm - 1.0) > _UNIT_TOL:  # a unit row is read as it is
+        if abs(nrm - 1.0) > _SHAPE_TOL:
             sys.stderr.write(
                 f'note: normalized "{key}"[{i}] (norm was {nrm:.12g})\n'
             )
@@ -333,19 +336,6 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _add_tol_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tol-margin",
-        type=float,
-        help="override the strict-inequality margin tolerance",
-    )
-    parser.add_argument(
-        "--tol-offset",
-        type=float,
-        help="override the hyperplane offset convergence tolerance",
-    )
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 4 like any other malformed input, keeping exit
     codes a total function of (status, error class); argparse's default 2
@@ -363,35 +353,44 @@ def main(argv: list[str] | None = None) -> int:
         description="Disjointness and separating poles for spherical convex bodies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command takes the tolerance flags; all but fuzz read an instance
+    tol_flags = argparse.ArgumentParser(add_help=False)
+    tol_flags.add_argument(
+        "--tol-margin", type=float, help="override the strict-inequality margin tolerance"
+    )
+    tol_flags.add_argument(
+        "--tol-offset", type=float, help="override the hyperplane offset convergence tolerance"
+    )
+    on_file = argparse.ArgumentParser(add_help=False, parents=[tol_flags])
+    on_file.add_argument("instance", help="instance JSON file")
 
-    p_check = sub.add_parser("check", help="decide disjointness of the two bodies")
-    p_check.add_argument("instance", help="instance JSON file")
-    _add_tol_flags(p_check)
+    p_check = sub.add_parser(
+        "check", parents=[on_file], help="decide disjointness of the two bodies"
+    )
     p_check.set_defaults(func=_cmd_query, method="check")
 
-    p_wit = sub.add_parser("witness", help="compute a separating pole")
-    p_wit.add_argument("instance", help="instance JSON file")
+    p_wit = sub.add_parser("witness", parents=[on_file], help="compute a separating pole")
     p_wit.add_argument(
         "--method",
         choices=("lp", "proof-path"),
         default="lp",
         help="margin-maximizing LP, or the constructive projection/contraction route",
     )
-    _add_tol_flags(p_wit)
     p_wit.set_defaults(func=_cmd_query)
 
-    p_fuzz = sub.add_parser("fuzz", help="run the primal/dual equivalence campaign")
+    p_fuzz = sub.add_parser(
+        "fuzz", parents=[tol_flags], help="run the primal/dual equivalence campaign"
+    )
     p_fuzz.add_argument("--count", type=int, default=100, help="number of instances")
     p_fuzz.add_argument("--dims", default="1,2,3", help='sphere dimensions, e.g. "1,2,3,5"')
     p_fuzz.add_argument("--sizes", default="1..8", help='generator counts, e.g. "1..12" or "2,4,8"')
     p_fuzz.add_argument("--seed", type=int, default=0, help="master seed")
-    _add_tol_flags(p_fuzz)
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
-    p_plot = sub.add_parser("plot", help="emit S^2 scene data for external plotting")
-    p_plot.add_argument("instance", help="instance JSON file")
+    p_plot = sub.add_parser(
+        "plot", parents=[on_file], help="emit S^2 scene data for external plotting"
+    )
     p_plot.add_argument("-o", "--output", required=True, help="scene output path")
-    _add_tol_flags(p_plot)
     p_plot.set_defaults(func=_cmd_plot)
 
     args = parser.parse_args(argv)

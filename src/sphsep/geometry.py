@@ -46,8 +46,9 @@ class ToleranceConfig:
                    rounds; each LP also gets a budget of max_pivots
                    (100 * max_iter) pivots
 
-    The unit-vector and duplicate tolerance (geometry._UNIT_TOL, 1e-12) and
-    the simplex tolerance (lp._TOL, 1e-10) are fixed.
+    Fixed: the zero-norm and duplicate tolerance (_UNIT_TOL, 1e-12), the
+    unit length SphericalBody and orthonormal_frame accept and the CLI
+    reads as it is (_SHAPE_TOL, 1e-9), and the simplex's (lp._TOL, 1e-10).
     """
 
     margin_tol: float = 1e-9

@@ -12,17 +12,19 @@ nonnegative variables only (the textbook standard form).  A relation is
 its standard-form code, LE (+1), EQ (0) or GE (-1): the coefficient of
 the row's slack column, which negates with the row.  A caller with free
 or bounded variables poses their split columns and bound rows itself, as
-the hull separation does.  Nothing loops over rows or variables.  The
-tableau keeps one slack column per row, so its size grows with the square
-of the row count; the proof path's hull separations, with one row per
-fattened vertex (2n per generator on S^n, thousands on large bodies), are
-never put into it whole but solved by row generation, a few dozen rows at
-a time (see separation._separating_hyperplane_contracted), and the pole LP
-is posed in its polar form, whose rows count coordinates rather than
-generators (see convexity._pole_lp).  Besides the solution, an outcome
-carries the row duals of a program without phase 1 and the recession ray
-of an unbounded one, which is how the pole LP's two certificates are read.
-No external solver is used anywhere.
+the hull separation does.  Pivots are array operations; only the passes
+between the phases loop over rows (leftover artificials, then basic rows
+with nonzero cost).  The tableau keeps one slack column per row, so its
+size grows with the square of the row count; the proof path's hull
+separations, with one row per fattened vertex (2n per generator on S^n,
+thousands on large bodies), are never put into it whole but solved by row
+generation, a few dozen rows at a time (see
+separation._separating_hyperplane_contracted), and the pole LP is posed in
+its polar form, whose rows count coordinates rather than generators (see
+convexity._pole_lp).  Besides the solution, an outcome carries the row
+duals of a program without phase 1 and the recession ray of an unbounded
+one, which is how the pole LP's two certificates are read.  No external
+solver is used anywhere.
 """
 
 from __future__ import annotations

@@ -528,9 +528,10 @@ def proof_path_witness(
 
     Raises EpsilonSearchFailed when no radius keeps the fattened bodies
     disjoint (hulls touch within tolerance -- also the symptom when the
-    precondition "primal_intersect is None" is violated) and
-    ContractionStalled when offsets stop decreasing, or when max_iter rounds
-    or a zero offset leave the normal outside the wedge.
+    precondition "primal_intersect is None" is violated), and
+    ContractionStalled when the offset magnitude stalls, when max_iter
+    rounds or a zero offset leave the normal outside the wedge, when a
+    separation finds no positive slack, or when its normal is zero.
     """
     _require_same_dimension(b1, b2)
     p1, p2 = hemisphericity_witness(b1, cfg), hemisphericity_witness(b2, cfg)

@@ -37,8 +37,8 @@ def equivalence_campaign():
 
     Criteria 1-5 all read off this single campaign: the report carries the
     agreement counts plus the per-disjoint-instance deep-check counters
-    (witness soundness by direct dots, proof-path trace validity, wedge
-    convexity grid, openness probe).
+    (dual certificates, returned proof paths, wedge convexity grid,
+    openness probe).
     """
     cmd = [
         sys.executable,
@@ -67,30 +67,54 @@ def equivalence_campaign():
 
 
 @pytest.fixture(scope="session")
-def campaign_certificates(equivalence_campaign):
-    """Every certificate of the acceptance campaign, as (certificate,
-    body-1 generators, body-2 generators), in campaign order.
+def campaign_rerun(equivalence_campaign):
+    """The acceptance campaign rerun in-process, with spies on the
+    dual_witness and proof_path_witness that the harness calls; its report
+    must equal the CLI run's, so what they saw is behind that report.
 
-    The campaign is rerun in-process with a spy on the dual_witness that
-    the harness calls; its report must equal the CLI run's, so these are
-    the certificates behind that report.
+    "dual" holds every dual certificate as (certificate, body-1 generators,
+    body-2 generators), "proof_path" every returned proof path as
+    (certificate, trace, body-1 generators, body-2 generators), each in
+    campaign order.
     """
     import sphsep.harness
     from sphsep.harness import run_equivalence_campaign
 
     dual_witness = sphsep.harness.dual_witness
-    seen = []
+    proof_path_witness = sphsep.harness.proof_path_witness
+    seen = {"dual": [], "proof_path": []}
 
-    def spy(b1, b2, *args, **kwargs):
+    def dual_spy(b1, b2, *args, **kwargs):
         cert = dual_witness(b1, b2, *args, **kwargs)
-        seen.append((cert, b1.generators, b2.generators))
+        seen["dual"].append((cert, b1.generators, b2.generators))
         return cert
 
+    def proof_path_spy(b1, b2, *args, **kwargs):
+        cert, trace = proof_path_witness(b1, b2, *args, **kwargs)
+        seen["proof_path"].append((cert, trace, b1.generators, b2.generators))
+        return cert, trace
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sphsep.harness, "dual_witness", spy)
+        mp.setattr(sphsep.harness, "dual_witness", dual_spy)
+        mp.setattr(sphsep.harness, "proof_path_witness", proof_path_spy)
         report = run_equivalence_campaign(1000, [1, 2, 3, 5], list(range(1, 13)), 42)
     assert report.to_dict() == equivalence_campaign["report"]
     return seen
+
+
+@pytest.fixture(scope="session")
+def campaign_certificates(campaign_rerun):
+    """Every dual certificate of the acceptance campaign, as (certificate,
+    body-1 generators, body-2 generators), in campaign order."""
+    return campaign_rerun["dual"]
+
+
+@pytest.fixture(scope="session")
+def campaign_proof_paths(campaign_rerun):
+    """Every proof path of the acceptance campaign that returned, as
+    (certificate, trace, body-1 generators, body-2 generators), in campaign
+    order."""
+    return campaign_rerun["proof_path"]
 
 
 @pytest.fixture

@@ -2,11 +2,11 @@
 
 Criteria 1-5 all read the single 1000-instance equivalence campaign fixture
 (run through the real CLI), whose stdout a further test pins by sha256;
-criterion 2 also judges every certificate of that campaign in exact
-arithmetic, from an in-process rerun whose report must match.  6-8
-exercise the geometry kernel, the simplex
-solver against a brute-force oracle, and CLI byte-stability against the
-stored golden corpus.  Each test records exactly one PASS/FAIL line,
+criteria 2 and 4 also judge every dual and proof-path certificate of that
+campaign in exact arithmetic, from one in-process rerun whose report must
+match.  6-8 exercise the geometry kernel, the simplex solver against a
+brute-force oracle, and CLI byte-stability against the stored golden
+corpus.  Each test records exactly one PASS/FAIL line,
 echoed in the terminal summary.
 """
 
@@ -157,17 +157,36 @@ def test_criterion_3_wedge_convexity(acceptance, equivalence_campaign):
     )
 
 
-def test_criterion_4_proof_path_fidelity(acceptance, equivalence_campaign):
+def _proof_path_holds(cert, trace, g1, g2):
+    """The proof path's certificate holds exactly (certificate_holds) and
+    its trace is what the route promises: offsets strictly decreasing to
+    below 1e-6, one contraction round per offset after the first."""
+    offs = trace.offsets
+    return (
+        certificate_holds(cert, g1, g2)
+        and all(later < earlier for earlier, later in zip(offs, offs[1:]))
+        and offs[-1] < 1e-6
+        and trace.iterations == len(offs) - 1
+    )
+
+
+def test_criterion_4_proof_path_fidelity(acceptance, equivalence_campaign, campaign_proof_paths):
     report = equivalence_campaign["report"]
     passed = report["checks"]["proof_path"]
     pp_failures = [f for f in report["failures"] if "proof" in f]
-    ok = passed >= 200 and passed == report["disjoint"] and not pp_failures
+    held = sum(_proof_path_holds(*run) for run in campaign_proof_paths)
+    ok = (
+        passed >= 200
+        and passed == report["disjoint"] == len(campaign_proof_paths) == held
+        and not pp_failures
+    )
     acceptance(
         4,
         "constructive route fidelity",
         ok,
-        f"{passed} traces strictly decreasing to < 1e-6, final witness in "
-        f"the wedge, {len(pp_failures)} failures",
+        f"{held}/{report['disjoint']} proof-path witnesses with positive exact "
+        f"margin and traces strictly decreasing to < 1e-6, "
+        f"{len(pp_failures)} failures",
     )
 
 

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 
 import sphsep.separation
-from sphsep.cli import _slerp, main
+from sphsep.cli import _load_instance, _slerp, main
 from sphsep.convexity import SphericalBody, hemisphericity_witness
 from sphsep.errors import (
     ContractionStalled,
     EpsilonSearchFailed,
+    GenerationFailed,
     IterationLimit,
     NotHemispherical,
     NumericallyAmbiguous,
@@ -31,7 +32,7 @@ from sphsep.harness import (
     generate,
 )
 from sphsep.lp import solve
-from sphsep.separation import wedge_membership
+from sphsep.separation import SeparationCertificate, wedge_membership
 
 from .oracles import separates
 
@@ -121,6 +122,7 @@ def test_check_non_hemispherical_is_ambiguous(tmp_path, capsys):
         {"n": 1, "w1": [["1.0", 0.0]], "w2": [[-1.0, 0.0]]},
         {"n": 1, "w1": [[True, 0.0]], "w2": [[-1.0, 0.0]]},
         {"n": 1, "w1": [[10**400, 0]], "w2": [[-1.0, 0.0]]},  # int beyond float range
+        [1, 2],  # no JSON object
     ],
 )
 def test_check_malformed_documents(tmp_path, capsys, doc):
@@ -160,6 +162,15 @@ def test_non_unit_rows_normalized_with_note(tmp_path, capsys):
     path = write_instance(tmp_path, {"n": 1, "w1": [[1.0, 0.0]], "w2": [[0.0, 1.0]]})
     _, _, err = run_cli(capsys, "check", path)
     assert "normalized" not in err
+    # SphericalBody's 1e-9 decides: a row 5e-10 off unit is read as it is,
+    # one 2e-9 off is normalized
+    path = write_instance(
+        tmp_path, {"n": 1, "w1": [[1.0 + 5e-10, 0.0]], "w2": [[0.0, 1.0 + 2e-9]]}
+    )
+    b1, b2, _ = _load_instance(path, None)
+    assert b1.generators.tolist() == [[1.0 + 5e-10, 0.0]]
+    assert b2.generators.tolist() == [[0.0, 1.0]]
+    assert capsys.readouterr().err == 'note: normalized "w2"[0] (norm was 1.000000002)\n'
 
 
 def test_witness_lp_output(tmp_path, capsys):
@@ -470,6 +481,76 @@ def test_fuzz_disagreement_exit_code(capsys, monkeypatch):
     assert json.loads(out)["disagreements"] == 1
 
 
+def _recording_generate(monkeypatch, wrap=None):
+    """Specs of every generate call the campaign makes, in order; wrap, if
+    given, replaces generate's result."""
+    specs = []
+
+    def recording(spec, *args, **kwargs):
+        specs.append(spec)
+        bodies = generate(spec, *args, **kwargs)
+        return wrap(spec, bodies) if wrap else bodies
+
+    monkeypatch.setattr("sphsep.harness.generate", recording)
+    return specs
+
+
+def _tag(spec):
+    return (
+        f"seed={spec.seed} n={spec.dimension} k=({spec.k1},{spec.k2}) "
+        f"mode={spec.mode.value}"
+    )
+
+
+def test_fuzz_generation_failure_is_a_tagged_disagreement(capsys, monkeypatch):
+    # an instance that cannot be generated counts as a disagreement, with
+    # its seed in the failure line, and the campaign goes on to the rest
+    def third_fails(spec, bodies):
+        if len(specs) == 3:
+            raise GenerationFailed("injected")
+        return bodies
+
+    specs = _recording_generate(monkeypatch, third_fails)
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "8", "--dims", "2", "--seed", "1")
+    doc = json.loads(out)
+    assert code == 1 and len(specs) == 8
+    assert doc["instances"] == 8 and doc["disagreements"] == 1
+    assert doc["agreements"] + doc["ambiguous"] == 7
+    assert doc["failures"] == [f"{_tag(specs[2])}: generation failed: injected"]
+
+
+def test_fuzz_primal_dual_disagreement_is_tagged(capsys, monkeypatch):
+    # a dual verdict that contradicts the cone LP counts as a disagreement,
+    # with the instance's seed and both verdicts in the failure line, and
+    # the instance gets no deep checks
+    import sphsep.harness
+
+    dual_witness = sphsep.harness.dual_witness
+    verdicts = []
+
+    def third_flipped(b1, b2, *args, **kwargs):
+        cert = dual_witness(b1, b2, *args, **kwargs)
+        verdicts.append(cert.kind)
+        if len(verdicts) == 3:
+            flipped = "intersecting" if cert.kind == "disjoint" else "disjoint"
+            return SeparationCertificate(kind=flipped)
+        return cert
+
+    specs = _recording_generate(monkeypatch)
+    monkeypatch.setattr(sphsep.harness, "dual_witness", third_flipped)
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "8", "--dims", "2", "--seed", "1")
+    doc = json.loads(out)
+    flipped = "intersecting" if verdicts[2] == "disjoint" else "disjoint"
+    assert code == 1 and len(specs) == len(verdicts) == 8
+    assert doc["instances"] == 8 and doc["disagreements"] == 1
+    assert doc["agreements"] == 7 and doc["ambiguous"] == 0
+    assert doc["disjoint"] + doc["intersecting"] == 7
+    assert doc["disjoint"] == doc["checks"]["proof_path"]
+    assert doc["failures"] == [
+        f"{_tag(specs[2])}: primal says {verdicts[2]}, dual says {flipped}"
+    ]
+
+
 def test_fuzz_deep_check_failure_exit_code(capsys, monkeypatch):
     # a deep-check failure is no disagreement, yet it must not exit 0: here
     # every openness probe of a real campaign is made to hit margin -1
@@ -530,6 +611,7 @@ def test_exit_code_policy(tmp_path, capsys, monkeypatch, argv, target, error, co
         ("--sizes", "-2"),
         ("--count", "-1"),
         ("--seed", "-1"),
+        ("--dims", "1..x"),
     ],
 )
 def test_fuzz_rejects_bad_lists(capsys, flags):
@@ -733,6 +815,22 @@ def test_plot_intersecting_scene_has_no_witness(tmp_path, capsys):
     assert code == 0
     scene = json.loads(out_path.read_text())
     assert "witness" not in scene and "boundary" not in scene
+
+
+def test_plot_ambiguous_pair_scene_has_no_witness(tmp_path, capsys):
+    # a pair inside a widened margin band has no honest verdict: the scene
+    # is written with the bodies alone
+    th = 0.01
+    doc = {
+        "n": 2,
+        "w1": [[float(np.cos(th)), float(np.sin(th)), 0.0]],
+        "w2": [[float(np.cos(th)), float(-np.sin(th)), 0.0]],
+    }
+    path = write_instance(tmp_path, doc)
+    out_path = tmp_path / "scene.json"
+    code, _, err = run_cli(capsys, "plot", path, "-o", str(out_path), "--tol-margin", "0.1")
+    assert code == 0 and err == ""
+    assert list(json.loads(out_path.read_text())) == ["bodies"]
 
 
 def test_plot_rejects_other_dimensions(tmp_path, capsys):

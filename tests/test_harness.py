@@ -166,17 +166,25 @@ def test_campaign_solves_each_cone_lp_once(monkeypatch):
 
 
 def test_generated_instances_read_back_bit_identical(tmp_path, capsys):
-    # a unit row is read as it is: a body written out from generate (rows
-    # within 1e-12 of unit norm) loads with the same bits and no note
-    for seed in range(50):
-        spec = InstanceSpec(1 + seed % 5, 6, 6, seed=seed, mode=Mode.FORCE_DISJOINT)
+    # the CLI reads a row as it is when SphericalBody would accept it (its
+    # norm formula, within 1e-9 of unit norm): every body generate returns
+    # has passed that test, so it loads with the same bits and no note.
+    # Seed 168's w2[3] is 2.8e-12 and the campaign body's w2[0] 1.08e-12
+    # off unit, which a 1e-12 rule normalized
+    specs = [
+        InstanceSpec(1 + seed % 5, 6, 6, seed=seed, mode=Mode.FORCE_DISJOINT)
+        for seed in range(50)
+    ]
+    specs.append(InstanceSpec(1, 6, 6, seed=168, mode=Mode.FORCE_DISJOINT))
+    specs.append(InstanceSpec(1, 2, 7, seed=2609162362840982020))
+    for spec in specs:
         g1, g2 = generate(spec)
-        path = tmp_path / f"inst_{seed}.json"
+        path = tmp_path / f"inst_{spec.seed}.json"
         path.write_text(json.dumps({"n": g1.n, "w1": g1.generators.tolist(),
                                     "w2": g2.generators.tolist()}))
         b1, b2, _ = _load_instance(str(path), None)
-        assert np.array_equal(b1.generators, g1.generators), seed
-        assert np.array_equal(b2.generators, g2.generators), seed
+        assert np.array_equal(b1.generators, g1.generators), spec
+        assert np.array_equal(b2.generators, g2.generators), spec
     assert "normalized" not in capsys.readouterr().err
 
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from sphsep.errors import (
 )
 from sphsep.geometry import ToleranceConfig, normalize
 from sphsep.harness import InstanceSpec, Mode, _cap_body, generate
-from sphsep.lp import _TOL, LE, LpStatus, solve
+from sphsep.lp import _TOL, LE, LpOutcome, LpStatus, solve
 from sphsep.separation import (
     SeparationCertificate,
     _HullRows,
@@ -143,6 +144,30 @@ def test_dual_witness_intersecting_falls_back_to_primal():
     cert = dual_witness(b1, b2)
     assert cert.kind == "intersecting"
     assert np.allclose(cert.common_point, shared, atol=1e-9)
+
+
+def test_dual_witness_returns_the_cone_lps_intersecting_certificate(monkeypatch):
+    # when the pole LP carries no certificate (here its recession ray is
+    # swapped for one with all weight on body 1, which leaves sum mu = 0),
+    # primal_intersect decides, and its intersecting certificate is
+    # returned as it is
+    def weight_on_body_1(lp, *args, **kwargs):
+        out = solve(lp, *args, **kwargs)
+        if out.ray is None:
+            return out
+        ray = np.zeros_like(out.ray)
+        ray[0] = 1.0
+        return replace(out, ray=ray)
+
+    shared = normalize([1.0, 1.0, 0.0])
+    b1 = SphericalBody(np.array([shared, [1.0, 0.0, 0.0]]))
+    b2 = SphericalBody(np.array([shared, [0.0, 0.0, 1.0]]))
+    want = primal_intersect(b1, b2)
+    monkeypatch.setattr(sphsep.separation, "solve", weight_on_body_1)
+    got = dual_witness(b1, b2)
+    assert want.kind == got.kind == "intersecting"
+    for key in ("common_point", "lam", "mu"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
 
 
 def test_dual_witness_ambiguous_band():
@@ -686,6 +711,37 @@ def test_one_sided_optimum_is_solved_again(monkeypatch, c1, c2):
     point = x.copy()
     point[4], point[5] = 0.5 * x[2], 0.5 * x[3]
     assert lp_residual(_hull_program(lp), point) > 0.05
+
+
+def test_overlapping_hulls_have_no_positive_slack():
+    # equal vertex sets leave no room between the hulls: the optimal slack
+    # is zero, and the separation refuses it
+    v = np.array([[0.2, 0.1], [-0.3, 0.4], [0.1, -0.5]])
+    with pytest.raises(ContractionStalled, match="no positive slack"):
+        _separating_hyperplane_contracted(_HullRows(v, v.copy()), 1.0, ToleranceConfig())
+
+
+def test_hull_lp_that_is_not_optimal_has_no_positive_slack(monkeypatch):
+    # a relaxation is always feasible and bounded, so a solve that reports
+    # otherwise is a numerical breakdown: row generation stops there and
+    # the separation raises instead of reading a solution
+    def breakdown(lp, *args, **kwargs):
+        return LpOutcome(status=LpStatus.INFEASIBLE)
+
+    monkeypatch.setattr(sphsep.separation, "solve", breakdown)
+    hull = _union_hull(21, (3.0, 0.0), (-3.0, 0.0))
+    with pytest.raises(ContractionStalled, match="no positive slack"):
+        _separating_hyperplane_contracted(hull, 1.0, ToleranceConfig())
+
+
+def test_zero_normal_is_refused(monkeypatch):
+    # a positive slack forces a nonzero normal, so only roundoff could give
+    # a zero one; its norm is made to read 0 here, and the separation
+    # raises instead of dividing by it
+    monkeypatch.setattr(sphsep.separation, "_norm", lambda v: 0.0)
+    hull = _union_hull(21, (3.0, 0.0), (-3.0, 0.0))
+    with pytest.raises(ContractionStalled, match="zero normal"):
+        _separating_hyperplane_contracted(hull, 1.0, ToleranceConfig())
 
 
 def test_box_capped_optimum_is_solved_again():
